@@ -222,11 +222,6 @@ def trace(B: CliffordElement) -> complex:
     return realized_dim(B.n) * B.coef_identity
 
 
-def hs_inner(A: CliffordElement, B: CliffordElement) -> complex:
-    """Hilbert-Schmidt pairing trace(A* B)."""
-    return trace(A.star() * B)
-
-
 def dist(A: CliffordElement, B: CliffordElement) -> float:
     return (A - B).norm_max()
 

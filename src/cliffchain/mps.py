@@ -9,8 +9,9 @@ matrices.  Expectation values use the transfer maps
 
 acting on coefficient vectors over the 2^n monomial basis.  Reduced density
 matrices are assembled from the frame {psi(P gamma_K)}; for lengths past the
-dense cap everything runs through Gram matrices of bond elements, evaluated
-with a doubled-index propagation kernel of size 2^n x 2^n.
+dense cap everything runs through Gram matrices of bond elements.  Their
+overlap kernel is diagonal in the monomial basis with entries that depend
+only on the grade, so it is a length-(n+1) vector built by a recurrence in l.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ import numpy as np
 
 from .clifford import (
     CliffordElement,
-    MatrixRealization,
     alpha,
-    gamma0,
     projectors_pm,
     realized_dim,
     reversal_sign,
-    transpose_antiauto,
 )
 
 STATE_CAP = 20_000_000
@@ -95,7 +93,6 @@ class MpsFamily:
 
     n: int
     bond_domain: str = "full"
-    realization: MatrixRealization | None = None
 
     def __post_init__(self):
         if self.bond_domain not in BOND_DOMAINS:
@@ -187,7 +184,13 @@ def mps_vector(fam: MpsFamily, l: int, B: CliffordElement, cap: int = STATE_CAP)
 
 
 def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
-    """The + state map, defined on the even subalgebra (B is projected to it)."""
+    """The + state map psi(B), with B used as given.
+
+    No projection is applied: B may be any element of C_n, and only its
+    components of grade parity l mod 2 contribute.  For even n the + pure-state
+    bond domain is P_+ C_n^even ('p_plus_even'); use mps_vector to have the
+    domain checked.
+    """
     return _psi(n, l, B)
 
 
@@ -346,29 +349,19 @@ def _cluster_reals(vals: np.ndarray, tol: float = 1e-9) -> list[tuple[float, int
     return out
 
 
-def _p_plus_embedding(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Embed/restrict matrices for the span of P_+ gamma_K, K over half the bits."""
+def _p_plus_embedding(n: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Embed/restrict matrices for the span of P_+ gamma_K, K over half the bits.
+
+    With even=True only the even-grade K are kept (the P_+ C_n^even basis).
+    """
     P_plus, _ = projectors_pm(n)
-    reps = list(range(1 << (n - 1)))
+    reps = [b for b in range(1 << (n - 1)) if not (even and b.bit_count() % 2)]
     emb = np.zeros((1 << n, len(reps)), dtype=complex)
-    for col, bits in enumerate(reps):
-        emb[:, col] = coefvec(P_plus * CliffordElement(n, {bits: 1.0}))
     res = np.zeros((len(reps), 1 << n), dtype=complex)
     for col, bits in enumerate(reps):
-        res[col, bits] = 2.0
-    return emb, res, reps
-
-
-def _p_plus_even_embedding(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    P_plus, _ = projectors_pm(n)
-    reps = [b for b in range(1 << (n - 1)) if b.bit_count() % 2 == 0]
-    emb = np.zeros((1 << n, len(reps)), dtype=complex)
-    for col, bits in enumerate(reps):
         emb[:, col] = coefvec(P_plus * CliffordElement(n, {bits: 1.0}))
-    res = np.zeros((len(reps), 1 << n), dtype=complex)
-    for col, bits in enumerate(reps):
         res[col, bits] = 2.0
-    return emb, res, reps
+    return emb, res
 
 
 def _decay_rate(n: int) -> float:
@@ -401,7 +394,7 @@ def transfer_spectrum(n: int, variant: str = "E") -> SpectralSummary:
         if n % 2 == 0:
             evals = np.linalg.eigvals(M)
         else:
-            emb, res, _ = _p_plus_embedding(n)
+            emb, res = _p_plus_embedding(n)
             Mr = res @ M @ emb
             closure = M @ emb - emb @ Mr
             if np.abs(closure).max() > 1e-10:
@@ -412,7 +405,7 @@ def transfer_spectrum(n: int, variant: str = "E") -> SpectralSummary:
         if n % 2:
             raise ValueError("the shared factorized map lives on even n")
         F = alpha_signs(n)[:, None] * M
-        emb, res, _ = _p_plus_even_embedding(n)
+        emb, res = _p_plus_embedding(n, even=True)
         Fr = res @ F @ emb
         closure = F @ emb - emb @ Fr
         if np.abs(closure).max() > 1e-10:
@@ -447,39 +440,49 @@ def two_point_correlation(n: int, A, B, r: int, boundary: str = "omega") -> comp
 
 
 # ---------------------------------------------------------------------------
-# Gram machinery (doubled-index propagation)
+# Gram machinery (grade-weight recurrence)
 # ---------------------------------------------------------------------------
 
 
-def overlap_kernel(n: int, l: int) -> np.ndarray:
-    """Kernel Z with <psi(B), psi(B')> = D^2 * b^H (Z * sq) b'.
+def _grade_weights(n: int, l: int) -> np.ndarray:
+    """Diagonal of the overlap kernel by grade: z_l(k) for k = 0..n.
 
     Z[L, R] is the coefficient of gamma_L x gamma_R in
     sum_{i_1..i_l} (gamma_{i_1}..gamma_{i_l}) x (gamma_{i_l}..gamma_{i_1}).
+    Appending a generator g to both strings maps gamma_K x gamma_K, k = |K|,
+    to gamma_{K^g} x gamma_{K^g} with sign (-1)^(k-1) if g in K and (-1)^k
+    if not, so Z stays diagonal, depends on K only through its grade, and
+
+        z_{l+1}(k) = (-1)^(k-1) k z_l(k-1) + (-1)^k (n-k) z_l(k+1),  z_0 = e_0.
+
+    Index the result with _grades(n) to get the diagonal over monomials.
     """
-    dim = 1 << n
-    Z = np.zeros((dim, dim), dtype=complex)
-    Z[0, 0] = 1.0
-    idx = np.arange(dim, dtype=np.uint32)
+    k = np.arange(n + 1)
+    up = (-1.0) ** (k[1:] - 1) * k[1:]  # grade k-1 -> k
+    down = (-1.0) ** k[:-1] * (n - k[:-1])  # grade k+1 -> k
+    z = np.zeros(n + 1)
+    z[0] = 1.0
     for _ in range(l):
-        Znew = np.zeros_like(Z)
-        for g in range(n):
-            sl = _sign_left(g, idx).astype(complex)
-            sr = _sign_right(g, idx, n).astype(complex)
-            T = (sl[:, None] * sr[None, :]) * Z
-            perm = idx ^ np.uint32(1 << g)
-            Znew += T[np.ix_(perm, perm)]
-        Z = Znew
-    return Z
+        new = np.zeros(n + 1)
+        new[1:] += up * z[:-1]
+        new[:-1] += down * z[1:]
+        z = new
+    return z
 
 
-def gram_matrix(n: int, l: int, elems, kernel: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix of state overlaps <psi(B_a), psi(B_b)> from bond data only."""
-    if kernel is None:
-        kernel = overlap_kernel(n, l)
+def gram_matrix(n: int, l: int, elems) -> np.ndarray:
+    """Gram matrix of state overlaps <psi(B_a), psi(B_b)> from bond data only.
+
+    The overlap kernel is diagonal in the monomial basis, so with
+    w[K] = z_l(|K|) from _grade_weights and sq[K] = reversal_sign(|K|),
+
+        G = D^2 Bmat^H (w * sq * Bmat),
+
+    where the columns of Bmat are the coefficient vectors of elems.
+    """
     Bmat = np.stack([coefvec(B) for B in elems], axis=1)
-    sq = _sq_signs(n).astype(complex)
-    G = (realized_dim(n) ** 2) * (Bmat.conj().T @ (kernel * sq[None, :]) @ Bmat)
+    diag = _grade_weights(n, l)[_grades(n)] * _sq_signs(n)
+    G = (realized_dim(n) ** 2) * (Bmat.conj().T @ (diag[:, None] * Bmat))
     return 0.5 * (G + G.conj().T)
 
 
@@ -490,11 +493,10 @@ def frame_operator_distance(
     coef_a: float,
     elems_b,
     coef_b: float,
-    kernel: np.ndarray | None = None,
 ) -> float:
     """Spectral norm of sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|."""
     elems = list(elems_a) + list(elems_b)
-    G = gram_matrix(n, l, elems, kernel)
+    G = gram_matrix(n, l, elems)
     signs = np.concatenate([coef_a * np.ones(len(elems_a)), -coef_b * np.ones(len(elems_b))])
     evals, vecs = np.linalg.eigh(G)
     keep = evals > 1e-12 * max(float(evals.max(initial=0.0)), 1e-300)
@@ -512,11 +514,10 @@ def frame_product_trace(
     coef_a: float,
     elems_b,
     coef_b: float,
-    kernel: np.ndarray | None = None,
 ) -> float:
     """Tr(rho_a rho_b) for two frame-represented positive operators."""
     elems = list(elems_a) + list(elems_b)
-    G = gram_matrix(n, l, elems, kernel)
+    G = gram_matrix(n, l, elems)
     cross = G[: len(elems_a), len(elems_a):]
     return float(coef_a * coef_b * (np.abs(cross) ** 2).sum().real)
 
@@ -593,9 +594,7 @@ def _class_reps(n: int) -> list[int]:
     return reps
 
 
-def rdm_eigen_by_grade(
-    n: int, l: int, boundary: str = "plus", kernel: np.ndarray | None = None
-) -> list[tuple[int, float, int]]:
+def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int, float, int]]:
     """Nonzero marginal spectrum labeled by monomial grade, via Gram matrices.
 
     Returns (grade, eigenvalue, multiplicity) triples.  Raises if the Gram
@@ -620,7 +619,7 @@ def rdm_eigen_by_grade(
         elems = [P * CliffordElement(n, {b: 1.0}) for b in reps]
         labels = [b.bit_count() for b in reps]
         c = 2.0 * 2.0 / (D**2 * n**l)  # factor 2: each class has two members
-    G = gram_matrix(n, l, elems, kernel)
+    G = gram_matrix(n, l, elems)
     keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * max(1.0, np.sqrt(np.abs(G).max()))
     scale = np.abs(G).max() if G.size else 1.0
     out = []

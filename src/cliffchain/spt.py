@@ -24,7 +24,6 @@ from .clifford import (
 )
 from .mps import (
     frame_operator_distance,
-    overlap_kernel,
     rdm_eigen_by_grade,
     rdm_frame,
 )
@@ -316,12 +315,12 @@ def _require_even_n(n: int) -> None:
         raise ValueError("the paired-state checks need even n")
 
 
-def _frame_verdict(n: int, l: int, image_elems, kernel) -> tuple[str, float, float]:
+def _frame_verdict(n: int, l: int, image_elems) -> tuple[str, float, float]:
     """Match a transformed plus-state frame against the plus and minus states."""
     elems_p, c_p = rdm_frame(n, l, "plus")
     elems_m, c_m = rdm_frame(n, l, "minus")
-    r_fix = frame_operator_distance(n, l, image_elems, c_p, elems_p, c_p, kernel)
-    r_swap = frame_operator_distance(n, l, image_elems, c_p, elems_m, c_m, kernel)
+    r_fix = frame_operator_distance(n, l, image_elems, c_p, elems_p, c_p)
+    r_swap = frame_operator_distance(n, l, image_elems, c_p, elems_m, c_m)
     fixes, swaps = r_fix < VERDICT_TOL, r_swap < VERDICT_TOL
     if fixes and swaps:
         verdict = FIXES if n % 4 == 0 else SWAPS  # degenerate rho+ = rho- regime
@@ -337,10 +336,9 @@ def _frame_verdict(n: int, l: int, image_elems, kernel) -> tuple[str, float, flo
 def conjugation_check(n: int, l: int) -> tuple[str, dict]:
     """Entrywise conjugate of rho+- against rho+- (FIXES) or rho-+ (SWAPS)."""
     _require_even_n(n)
-    kernel = overlap_kernel(n, l)
     elems_p, _ = rdm_frame(n, l, "plus")
     bar_elems = [B.bar() for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, bar_elems, kernel)
+    verdict, r_fix, r_swap = _frame_verdict(n, l, bar_elems)
     return verdict, {"conjugation_fix": r_fix, "conjugation_swap": r_swap}
 
 
@@ -349,10 +347,9 @@ def reflection_check(n: int, l: int) -> tuple[str, dict]:
     _require_even_n(n)
     if l % 2 == 1:
         raise ValueError("reflection check is defined for even lengths")
-    kernel = overlap_kernel(n, l)
     elems_p, _ = rdm_frame(n, l, "plus")
     refl_elems = [transpose_antiauto(B) for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, refl_elems, kernel)
+    verdict, r_fix, r_swap = _frame_verdict(n, l, refl_elems)
     return verdict, {"reflection_fix": r_fix, "reflection_swap": r_swap}
 
 
@@ -385,10 +382,9 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
     det = float(np.linalg.det(th))
 
     Pi, Pi_inv = spin_lift(n, th)
-    kernel = overlap_kernel(n, l)
     elems_p, _ = rdm_frame(n, l, "plus")
     tr_elems = [Pi * B.bar() * Pi_inv for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, tr_elems, kernel)
+    verdict, r_fix, r_swap = _frame_verdict(n, l, tr_elems)
     verdict = INVARIANT if verdict == FIXES else verdict
     return verdict, {
         "time_reversal_fix": r_fix,
@@ -422,7 +418,6 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
     states have identical spectra.
     """
     rng = np.random.default_rng(seed)
-    kernel = overlap_kernel(n, l)
     boundaries = ("plus", "minus") if n % 2 == 0 else ("omega",)
     frames = {b: rdm_frame(n, l, b) for b in boundaries}
 
@@ -437,17 +432,17 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
         for b in boundaries:
             elems, c = frames[b]
             image = [Pi * B * Pi_inv for B in elems]
-            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, elems, c, kernel))
+            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, elems, c))
 
     src = boundaries[0]
     dst = boundaries[-1]  # partner state for even n, the same state for odd
     elems, c = frames[src]
     flipped = [_flip_first_axis(B) for B in elems]
     elems_d, c_d = frames[dst]
-    r_flip = frame_operator_distance(n, l, flipped, c, elems_d, c_d, kernel)
+    r_flip = frame_operator_distance(n, l, flipped, c, elems_d, c_d)
 
-    spec_a = rdm_eigen_by_grade(n, l, src, kernel=kernel)
-    spec_b = rdm_eigen_by_grade(n, l, dst, kernel=kernel)
+    spec_a = rdm_eigen_by_grade(n, l, src)
+    spec_b = rdm_eigen_by_grade(n, l, dst)
     r_spec = 0.0
     spectra_match = len(spec_a) == len(spec_b)
     if spectra_match:

@@ -31,7 +31,6 @@ from cliffchain.hamiltonians import (
 from cliffchain.mps import (
     frame_operator_distance,
     frame_product_trace,
-    overlap_kernel,
     rdm_eigen_by_grade,
     rdm_frame,
     transfer_eigenvalue,
@@ -159,13 +158,12 @@ def test_acceptance_06_pure_state_marginals_coincide_then_orthogonalize():
     t0 = time.perf_counter()
     ep, cp = rdm_frame(6, 2, "plus")
     em, cm = rdm_frame(6, 2, "minus")
-    K6 = overlap_kernel(6, 2)
-    d2 = frame_operator_distance(6, 2, ep, cp, em, cm, K6)
+    d2 = frame_operator_distance(6, 2, ep, cp, em, cm)
 
     def cross_purity(n, l):
         fp, ap = rdm_frame(n, l, "plus")
         fm, am = rdm_frame(n, l, "minus")
-        return frame_product_trace(n, l, fp, ap, fm, am, overlap_kernel(n, l))
+        return frame_product_trace(n, l, fp, ap, fm, am)
 
     # closed form 2^(1-n) sum over x in {+-1}^n with x_1...x_n = -1 of
     # (sum_i x_i / n)^(2l); at even n no such x has |sum_i x_i| = n, so every

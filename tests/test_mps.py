@@ -19,6 +19,10 @@ from cliffchain.clifford import (
 )
 from cliffchain.mps import (
     MpsFamily,
+    _grade_weights,
+    _grades,
+    _sign_left,
+    _sign_right,
     apply_E,
     coefvec,
     e_matrix,
@@ -40,6 +44,7 @@ from cliffchain.mps import (
     transfer_spectrum,
     two_point_correlation,
 )
+from cliffchain.reporting import _expected_grade_mult, _expected_grades
 
 
 def g(n, *idx):
@@ -281,6 +286,39 @@ def test_correlation_lengths():
 # --- Gram machinery --------------------------------------------------------
 
 
+def _dense_overlap_kernel_oracle(n, l):
+    """Test oracle: the dense 2^n x 2^n overlap kernel by doubled-index propagation.
+
+    Z[L, R] is the coefficient of gamma_L x gamma_R in
+    sum_{i_1..i_l} (gamma_{i_1}..gamma_{i_l}) x (gamma_{i_l}..gamma_{i_1}),
+    so <psi(B), psi(B')> = D^2 b^H (Z * sq) b'.  O(l n 4^n); n <= 8 only.
+    """
+    dim = 1 << n
+    Z = np.zeros((dim, dim), dtype=complex)
+    Z[0, 0] = 1.0
+    idx = np.arange(dim, dtype=np.uint32)
+    for _ in range(l):
+        Znew = np.zeros_like(Z)
+        for gen in range(n):
+            sl = _sign_left(gen, idx).astype(complex)
+            sr = _sign_right(gen, idx, n).astype(complex)
+            T = (sl[:, None] * sr[None, :]) * Z
+            perm = idx ^ np.uint32(1 << gen)
+            Znew += T[np.ix_(perm, perm)]
+        Z = Znew
+    return Z
+
+
+def test_grade_weights_match_dense_kernel_oracle():
+    for n in range(2, 9):
+        grades = _grades(n)
+        for l in range(10):
+            Z = _dense_overlap_kernel_oracle(n, l)
+            diag = np.diag(Z)
+            assert np.count_nonzero(Z - np.diag(diag)) == 0
+            assert np.array_equal(diag, _grade_weights(n, l)[grades].astype(complex))
+
+
 def test_gram_matches_brute_overlaps():
     rng = np.random.default_rng(11)
     for n, l in ((3, 2), (3, 3), (4, 2), (4, 3)):
@@ -403,6 +441,20 @@ def test_rdm_eigen_grade_multiplicities():
                 assert m == math.comb(n, grade)
             else:
                 assert m == math.comb(n, grade) // 2
+
+
+def test_rdm_eigen_by_grade_past_dense_kernel_range():
+    # n = 10 is past the dense-kernel oracle's range (2^n x 2^n complex)
+    n = 10
+    for l in (3, 4):
+        plus = rdm_eigen_by_grade(n, l, "plus")
+        minus = rdm_eigen_by_grade(n, l, "minus")
+        for out in (plus, minus):
+            assert abs(sum(mu * m for _, mu, m in out) - 1.0) < 1e-10
+            layout = [(grade, m) for grade, _, m in out]
+            assert layout == [(grade, _expected_grade_mult(n, grade)) for grade in _expected_grades(n, l)]
+        assert [(grade, m) for grade, _, m in plus] == [(grade, m) for grade, _, m in minus]
+        assert max(abs(a - b) for (_, a, _), (_, b, _) in zip(plus, minus)) < 1e-10
 
 
 # --- structure of the family ----------------------------------------------
