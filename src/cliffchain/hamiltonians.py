@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import VerificationReport
+from .checks import cluster_degeneracies  # noqa: F401 (part of this module's API)
 from .mps import MpsFamily, mps_vector
 from .so_n import casimir_su2_pair, spin_matrices
 
@@ -302,18 +303,6 @@ def low_spectrum(spec: InteractionSpec, l: int, k: int = 6,
     return np.sort(vals)
 
 
-def cluster_degeneracies(vals, tol: float = 1e-9) -> list[tuple[float, int]]:
-    """Group an ascending sequence into (value, multiplicity) clusters."""
-    out: list[tuple[float, int]] = []
-    for v in np.asarray(vals, dtype=float):
-        if out and abs(v - out[-1][0]) < tol:
-            val, mult = out[-1]
-            out[-1] = (val, mult + 1)
-        else:
-            out.append((float(v), 1))
-    return out
-
-
 def mps_ground_space(n: int, l: int) -> np.ndarray:
     """Orthonormal basis of the span of the length-l bond-algebra states.
 
@@ -360,11 +349,15 @@ def subspace_intersection(Qa: np.ndarray, Qb: np.ndarray, tol: float = 1e-8) -> 
     return V
 
 
-def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP) -> VerificationReport:
-    """Chain kernel against the bond-algebra state span, dims and distance."""
+def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
+                 tol: float = 1e-10) -> VerificationReport:
+    """Chain kernel against the bond-algebra state span, dims and distance.
+
+    tol is the kernel cut-off of kernel_basis, relative to the norm bound.
+    """
     expected = 2 ** (n - 1)
     H = chain_hamiltonian(so_n_aklt(n), l, cap)
-    K = kernel_basis(H.matrix, expected=expected)
+    K = kernel_basis(H.matrix, tol=tol, expected=expected)
     G = mps_ground_space(n, l)
     dist = projector_distance(K.vectors, G)
     passed = K.dim == expected and G.shape[1] == expected and dist < 1e-8
@@ -383,14 +376,15 @@ def _local_kernel(h: np.ndarray, tol: float) -> np.ndarray:
     return vecs[:, np.abs(vals) < tol]
 
 
-def frustration_free_check(spec: InteractionSpec, l: int,
-                           cap: int = CHAIN_DIM_CAP) -> VerificationReport:
+def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_CAP,
+                           tol: float = 1e-10) -> VerificationReport:
     """Shift the term to PSD, then test ker(sum h_x) = intersection of ker h_x.
 
     The two sides are computed independently: the left from the assembled
     chain, the right by intersecting embedded per-term kernels.  The report
     passes when they agree; whether the chain is frustration free is a
-    separate number in the payload.
+    separate number in the payload.  tol is the kernel cut-off, relative to
+    the norm bound, of the chain, of each term and of the ground energy.
     """
     d = spec.local_dim
     support = spec.support
@@ -403,13 +397,13 @@ def frustration_free_check(spec: InteractionSpec, l: int,
     terms = [embedded_term(h_psd, l, x, d) for x in range(l - support + 1)]
     H = sum(terms[1:], terms[0]).tocsr()
     scale = _norm_bound(H)
-    tol_eff = 1e-10 * max(1.0, scale)
+    tol_eff = tol * max(1.0, scale)
 
-    K = kernel_basis(H)
+    K = kernel_basis(H, tol=tol)
 
     inter = None
     for x in range(l - support + 1):
-        V_local = _local_kernel(h_psd, 1e-10 * max(1.0, _norm_bound(h_psd)))
+        V_local = _local_kernel(h_psd, tol * max(1.0, _norm_bound(h_psd)))
         left = np.eye(d**x, dtype=complex)
         right = np.eye(d ** (l - x - support), dtype=complex)
         Q_x = np.kron(left, np.kron(V_local, right))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import cluster_degeneracies
 from .clifford import (
     CliffordElement,
     alpha,
@@ -336,19 +337,6 @@ def transfer_eigenvalue(n: int, k: int) -> float:
     return (-1) ** k * (n - 2 * k) / n
 
 
-def _cluster_reals(vals: np.ndarray, tol: float = 1e-9) -> list[tuple[float, int]]:
-    vals = np.sort(np.asarray(vals))
-    out = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] > tol:
-            chunk = vals[start:k]
-            out.append((float(chunk.mean()), len(chunk)))
-            start = k
-    out.sort(key=lambda p: -p[0])
-    return out
-
-
 def _p_plus_embedding(n: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Embed/restrict matrices for the span of P_+ gamma_K, K over half the bits.
 
@@ -417,7 +405,7 @@ def transfer_spectrum(n: int, variant: str = "E") -> SpectralSummary:
         raise ValueError(f"unknown transfer variant {variant!r}")
     if np.abs(evals.imag).max() > 1e-10:
         raise AssertionError("transfer spectrum is not real")
-    clustered = _cluster_reals(evals.real)
+    clustered = cluster_degeneracies(evals.real)[::-1]
     peripheral = sum(m for v, m in clustered if abs(abs(v) - 1.0) < 1e-9)
     return SpectralSummary(
         n=n,
@@ -632,7 +620,7 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
         if cross.size and np.abs(cross).max() > 1e-9 * scale:
             raise ValueError(f"grade {grade} block is not orthogonal to the rest")
         mus = np.linalg.eigvalsh(c * G[np.ix_(sel, sel)])
-        for mu, mult in _cluster_reals(mus, tol=1e-10):
+        for mu, mult in cluster_degeneracies(mus, tol=1e-10)[::-1]:
             if mu < 1e-12:
                 continue
             if not 0.0 < mu <= 1.0 + 1e-9:

@@ -1,12 +1,18 @@
 """Verification campaigns with machine-readable reports.
 
 run_campaign executes one named battery of checks (or all of them) over a
-grid of (n, l) values and returns a plain-dict report document.  emit
+grid of (n, l) values and returns a plain-dict report document.  Every check
+is one entry of the _CHECKS table, and one loop runs them all: it writes the
+skip rows, times each row, and turns an exception into a failing row.  emit
 serializes the document as json, per-table csv files, or a text summary.
 
 Reports are deterministic for a fixed config and version: rows are sorted,
 seeds are derived from the config seed, and json output is byte-identical
-between runs except for the timestamp and the recorded wall-clock times.
+between runs except for the timestamp, the recorded wall-clock times, and
+the parent-kernel rows that use ARPACK (chains of dimension at least
+hamiltonians.DENSE_EIG_CAP; by default (n, l) = (4, 6), (5, 5) and (5, 6)).
+scipy's eigsh draws its start vector from OS entropy, so the residuals and
+projector distances of those rows differ from run to run.
 """
 
 from __future__ import annotations
@@ -14,9 +20,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .hamiltonians import (
     so_n_aklt,
 )
 from .mps import (
+    _decay_rate,
     rdm_eigen_by_grade,
     transfer_eigenvalue,
     transfer_spectrum,
@@ -60,27 +70,16 @@ from .spt import (
     time_reversal_check,
 )
 
-CAMPAIGNS = (
-    "transfer",
-    "rdm",
-    "parent",
-    "spt",
-    "cpt",
-    "clifford-selftest",
-    "repr-dims",
-    "all",
-)
-
 SCHEMA_VERSION = 1
+# CAMPAIGNS, the campaign names, is read off the check table _CHECKS below
 
 DEFAULT_N_LIST = (3, 4, 5, 6)
 DEFAULT_CAP_DENSE = 2048
-DEFAULT_CAP_SPARSE = 2_000_000
+DEFAULT_CAP_SPARSE = 16_000
 
 # grid guards for the heavier batteries
 RDM_MAX_N = 8
 RDM_MAX_L = 16
-PARENT_MAX_DIM = 16_000
 PIERI_MAX_N = 6
 SELFTEST_SAMPLES = 500
 CORRELATOR_RANGE = range(2, 13)
@@ -115,7 +114,7 @@ class CampaignConfig:
 
 
 # ---------------------------------------------------------------------------
-# row assembly
+# check table and the loop that runs it
 # ---------------------------------------------------------------------------
 
 
@@ -136,46 +135,111 @@ def _plain(value):
     raise TypeError(f"unsupported report value {type(value)!r}")
 
 
-class _Collector:
-    def __init__(self, campaign: str):
-        self.campaign = campaign
-        self.rows: list[dict] = []
-        self.tables: dict[str, list] = {}
+class _Check(NamedTuple):
+    """One entry of the check table.
 
-    def add(self, n, l, name, passed, numbers=None, notes=""):
-        self.rows.append(
-            {
-                "campaign": self.campaign,
-                "n": None if n is None else int(n),
-                "l": None if l is None else int(l),
-                "name": name,
-                "status": "pass" if passed else "fail",
-                "numbers": {k: _plain(v) for k, v in (numbers or {}).items()},
-                "notes": notes,
-                "seconds": 0.0,
-            }
-        )
-        return self.rows[-1]
+    grid(config) lists the (n, l) points.  applies(ctx, n, l) returns True to
+    run the check there, False for no row, or a skip reason; None means
+    always.  fn(ctx, n, l) returns (passed, numbers, notes), and
+    tables(ctx, n, l) the (table, row) pairs the point contributes.
+    """
 
-    def skip(self, n, l, name, reason):
-        row = self.add(n, l, name, True, notes=reason)
-        row["status"] = "skip"
-        return row
-
-    def table_row(self, table: str, row: tuple):
-        self.tables.setdefault(table, []).append(tuple(_plain(v) for v in row))
+    campaign: str
+    name: str
+    grid: Callable
+    applies: Callable | None
+    fn: Callable | None
+    tables: Callable | None = None
 
 
-def _timed(collector, n, l, name, fn):
-    """Run fn() -> (passed, numbers, notes) and record one timed row."""
+class _Context:
+    """One run_campaign call: its config and the shared inputs it computed."""
+
+    def __init__(self, config: CampaignConfig):
+        self.config = config
+        self._inputs: dict = {}
+
+    def shared(self, make, n, l=None):
+        """make(n, l), computed on first use at this grid point."""
+        key = (make, n, l)
+        if key not in self._inputs:
+            self._inputs[key] = make(n, l)
+        return self._inputs[key]
+
+
+def _timed(ctx: _Context, check: _Check, n, l, tables: dict) -> dict | None:
+    """Run one check at (n, l) and return its row, or None when it has none.
+
+    A raised exception is a failing row, not a crash; the table rows of a
+    check that raised are dropped.
+    """
     t0 = time.perf_counter()
     try:
-        passed, numbers, notes = fn()
+        applies = True if check.applies is None else check.applies(ctx, n, l)
+        if applies is False:
+            return None
+        if applies is not True:
+            status, numbers, notes = "skip", {}, applies
+        else:
+            passed, numbers, notes = check.fn(ctx, n, l)
+            status = "pass" if passed else "fail"
+            numbers = {k: _plain(v) for k, v in numbers.items()}
+            if check.tables is not None:
+                made = [(t, tuple(_plain(v) for v in r)) for t, r in check.tables(ctx, n, l)]
+                for table, row in made:  # every row is built before any is kept
+                    tables.setdefault(table, []).append(row)
     except Exception as exc:  # a broken check is a failing check, not a crash
-        passed, numbers, notes = False, {}, f"error: {exc}"
-    row = collector.add(n, l, name, passed, numbers, notes)
-    row["seconds"] = round(time.perf_counter() - t0, 6)
-    return row
+        status, numbers, notes = "fail", {}, f"error: {type(exc).__name__}: {exc}"
+    return {
+        "campaign": check.campaign,
+        "n": n,
+        "l": l,
+        "name": check.name,
+        "status": status,
+        "numbers": numbers,
+        "notes": notes,
+        "seconds": 0.0 if status == "skip" else round(time.perf_counter() - t0, 6),
+    }
+
+
+def _campaign_rows(config: CampaignConfig) -> tuple[list, dict]:
+    """Every check of config.campaign in table order, point by point.
+
+    Consecutive checks of one campaign that share a grid run together at each
+    point, so the order is campaign, then n, then l, then check.
+    """
+    ctx = _Context(config)
+    rows: list[dict] = []
+    tables: dict[str, list] = {}
+    for (campaign, grid), group in groupby(_CHECKS, key=lambda c: (c.campaign, c.grid)):
+        if config.campaign not in ("all", campaign):
+            continue
+        group = list(group)
+        for n, l in grid(config):
+            for check in group:
+                row = _timed(ctx, check, n, l, tables)
+                if row is not None:
+                    rows.append(row)
+    return rows, tables
+
+
+# grids and applicability
+
+
+def _at(*points):
+    return lambda config: points
+
+
+def _each_n(config: CampaignConfig) -> list:
+    return [(n, None) for n in config.n_list]
+
+
+def _even_n(ctx, n, l):
+    return n % 2 == 0
+
+
+def _cap_exceeded(over: bool):
+    return "cap-exceeded" if over else True
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +253,6 @@ def _expected_transfer_clusters(n: int) -> list[tuple[float, int]]:
     out.sort(key=lambda p: -p[0])
     return out
 
-def _exact_decay_rate(n: int) -> float:
-    rates = [abs(n - 2 * k) / n for k in range(2, n, 2)]
-    return max(rates) if rates else 0.0
-
 
 def _antisymmetric_probe(n: int) -> np.ndarray:
     S = np.zeros((n, n), dtype=complex)
@@ -200,84 +260,74 @@ def _antisymmetric_probe(n: int) -> np.ndarray:
     return S
 
 
-def _run_transfer(config: CampaignConfig) -> _Collector:
-    col = _Collector("transfer")
-    for n in config.n_list:
-        spectrum = transfer_spectrum(n, "E")
+def _spectrum(n, l):
+    return transfer_spectrum(n, "E")
 
-        def check_spectrum(n=n, spectrum=spectrum):
-            expected = _expected_transfer_clusters(n)
-            got = spectrum.eigenvalues
-            if len(got) != len(expected):
-                return False, {"clusters": len(got)}, "cluster count mismatch"
-            dev = max(abs(a - b) for (a, _), (b, _) in zip(got, expected))
-            mult_ok = all(ma == mb for (_, ma), (_, mb) in zip(got, expected))
-            numbers = {"max_value_dev": dev, "clusters": len(got)}
-            return dev < config.tol_match and mult_ok, numbers, ""
 
-        _timed(col, n, None, "transfer-spectrum", check_spectrum)
-        for value, mult in spectrum.eigenvalues:
-            col.table_row("eigenvalues", (n, value, mult))
+def _correlators(n, l):
+    boundary = "plus" if n % 2 == 0 else "omega"
+    probe = _antisymmetric_probe(n)
+    return {r: two_point_correlation(n, probe, probe, r, boundary) for r in CORRELATOR_RANGE}
 
-        def check_xi(n=n, spectrum=spectrum):
-            rate = _exact_decay_rate(n)
-            xi = 0.0 if rate == 0.0 else -1.0 / math.log(rate)
-            dev = abs(spectrum.correlation_length - xi)
-            return dev < config.tol_match, {"xi": xi, "rate": rate, "dev": dev}, ""
 
-        _timed(col, n, None, "correlation-length", check_xi)
+def _channel(n, l):
+    # a one-site probe only excites the grade-2 class, so its correlator
+    # decays at |lambda_2|, not at the max over all even grades
+    return abs(transfer_eigenvalue(n, 2)) if n > 2 else 1.0
+def _check_transfer_spectrum(ctx, n, l):
+    got = ctx.shared(_spectrum, n).eigenvalues
+    expected = _expected_transfer_clusters(n)
+    if len(got) != len(expected):
+        return False, {"clusters": len(got)}, "cluster count mismatch"
+    dev = max(abs(a - b) for (a, _), (b, _) in zip(got, expected))
+    mult_ok = all(ma == mb for (_, ma), (_, mb) in zip(got, expected))
+    numbers = {"max_value_dev": dev, "clusters": len(got)}
+    return dev < ctx.config.tol_match and mult_ok, numbers, ""
 
-        def check_peripheral(n=n, spectrum=spectrum):
-            peripheral = sum(
-                m for v, m in spectrum.eigenvalues if abs(abs(v) - 1.0) < 1e-9
-            )
-            want_primitive = n % 2 == 1
-            numbers = {"peripheral": peripheral}
-            return spectrum.is_primitive == want_primitive, numbers, ""
 
-        _timed(col, n, None, "peripheral-count", check_peripheral)
+def _eigenvalue_rows(ctx, n, l):
+    spectrum = ctx.shared(_spectrum, n)
+    return [("eigenvalues", (n, value, mult)) for value, mult in spectrum.eigenvalues]
 
-        if n % 2 == 0:
 
-            def check_fshared(n=n):
-                shared = transfer_spectrum(n, "F_shared")
-                top = shared.eigenvalues[0]
-                ok = shared.is_primitive and abs(top[0] - 1.0) < 1e-12 and top[1] == 1
-                return ok, {"clusters": len(shared.eigenvalues)}, ""
+def _check_correlation_length(ctx, n, l):
+    rate = _decay_rate(n)
+    xi = 0.0 if rate == 0.0 else -1.0 / math.log(rate)
+    dev = abs(ctx.shared(_spectrum, n).correlation_length - xi)
+    return dev < ctx.config.tol_match, {"xi": xi, "rate": rate, "dev": dev}, ""
 
-            _timed(col, n, None, "factorized-primitivity", check_fshared)
 
-        boundary = "plus" if n % 2 == 0 else "omega"
-        probe = _antisymmetric_probe(n)
-        corr = {}
-        for r in CORRELATOR_RANGE:
-            c = two_point_correlation(n, probe, probe, r, boundary)
-            corr[r] = c
-            col.table_row("correlators", (n, r, c))
+def _correlator_rows(ctx, n, l):
+    return [("correlators", (n, r, c)) for r, c in ctx.shared(_correlators, n).items()]
 
-        # a one-site probe only excites the grade-2 class, so its correlator
-        # decays at |lambda_2|, not at the max over all even grades
-        channel = abs(transfer_eigenvalue(n, 2)) if n > 2 else 1.0
-        if channel == 0.0:
 
-            def check_vanish(corr=corr):
-                worst = max(abs(c) for c in corr.values())
-                return worst < 1e-12, {"max_correlator": worst}, ""
+def _check_peripheral_count(ctx, n, l):
+    spectrum = ctx.shared(_spectrum, n)
+    peripheral = sum(m for v, m in spectrum.eigenvalues if abs(abs(v) - 1.0) < 1e-9)
+    want_primitive = n % 2 == 1
+    return spectrum.is_primitive == want_primitive, {"peripheral": peripheral}, ""
 
-            _timed(col, n, None, "correlators-vanish", check_vanish)
-        elif channel < 1.0 - 1e-9:
 
-            def check_slope(corr=corr, channel=channel):
-                rs = [r for r in corr if abs(corr[r]) > 1e-300]
-                logs = [math.log(abs(corr[r])) for r in rs]
-                slope = float(np.polyfit(rs, logs, 1)[0])
-                target = math.log(channel)
-                rel = abs(slope - target) / abs(target)
-                numbers = {"slope": slope, "target": target, "rel_dev": rel}
-                return rel < 0.02, numbers, ""
+def _check_factorized_primitivity(ctx, n, l):
+    shared = transfer_spectrum(n, "F_shared")
+    top = shared.eigenvalues[0]
+    ok = shared.is_primitive and abs(top[0] - 1.0) < 1e-12 and top[1] == 1
+    return ok, {"clusters": len(shared.eigenvalues)}, ""
 
-            _timed(col, n, None, "decay-slope", check_slope)
-    return col
+
+def _check_correlators_vanish(ctx, n, l):
+    worst = max(abs(c) for c in ctx.shared(_correlators, n).values())
+    return worst < 1e-12, {"max_correlator": worst}, ""
+
+
+def _check_decay_slope(ctx, n, l):
+    corr = ctx.shared(_correlators, n)
+    rs = [r for r in corr if abs(corr[r]) > 1e-300]
+    logs = [math.log(abs(corr[r])) for r in rs]
+    slope = float(np.polyfit(rs, logs, 1)[0])
+    target = math.log(ctx.shared(_channel, n))
+    rel = abs(slope - target) / abs(target)
+    return rel < 0.02, {"slope": slope, "target": target, "rel_dev": rel}, ""
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +335,12 @@ def _run_transfer(config: CampaignConfig) -> _Collector:
 # ---------------------------------------------------------------------------
 
 
-def _rdm_lengths(config: CampaignConfig) -> tuple:
-    return config.l_list or (2, 3, 4, 6, 8)
+def _rdm_grid(config: CampaignConfig) -> list:
+    return [(n, l) for n in config.n_list for l in config.l_list or (2, 3, 4, 6, 8)]
 
 
+def _rdm_cap(ctx, n, l):
+    return _cap_exceeded(n > RDM_MAX_N or l > RDM_MAX_L)
 def _expected_grade_mult(n: int, grade: int) -> int:
     if 2 * grade == n:
         return comb(n, grade) // 2
@@ -307,55 +359,37 @@ def _expected_grades(n: int, l: int) -> list[int]:
     return out
 
 
-def _run_rdm(config: CampaignConfig) -> _Collector:
-    col = _Collector("rdm")
-    for n in config.n_list:
-        for l in _rdm_lengths(config):
-            if n > RDM_MAX_N or l > RDM_MAX_L:
-                col.skip(n, l, "marginal-spectrum", "cap-exceeded")
-                continue
+def _plus_blocks(n, l):
+    return rdm_eigen_by_grade(n, l, "plus")
 
-            blocks = rdm_eigen_by_grade(n, l, "plus")
 
-            def check_spectrum(n=n, blocks=blocks):
-                tr = sum(mu * mult for _, mu, mult in blocks)
-                mus = [mu for _, mu, _ in blocks]
-                numbers = {
-                    "grades": len(blocks),
-                    "trace": tr,
-                    "min_mu": min(mus),
-                    "max_mu": max(mus),
-                }
-                return abs(tr - 1.0) < 1e-9 and min(mus) > 0.0, numbers, ""
+def _check_marginal_spectrum(ctx, n, l):
+    blocks = ctx.shared(_plus_blocks, n, l)
+    tr = sum(mu * mult for _, mu, mult in blocks)
+    mus = [mu for _, mu, _ in blocks]
+    numbers = {"grades": len(blocks), "trace": tr, "min_mu": min(mus), "max_mu": max(mus)}
+    return abs(tr - 1.0) < 1e-9 and min(mus) > 0.0, numbers, ""
 
-            _timed(col, n, l, "marginal-spectrum", check_spectrum)
-            for grade, mu, mult in blocks:
-                col.table_row("mu_by_length", (n, l, grade, mu))
 
-            def check_mults(n=n, l=l, blocks=blocks):
-                got = [(g, mult) for g, _, mult in blocks]
-                want = [(g, _expected_grade_mult(n, g)) for g in _expected_grades(n, l)]
-                notes = "" if got == want else f"layout {got}, expected {want}"
-                return got == want, {"grades": len(blocks)}, notes
+def _mu_rows(ctx, n, l):
+    return [("mu_by_length", (n, l, grade, mu)) for grade, mu, _ in ctx.shared(_plus_blocks, n, l)]
 
-            _timed(col, n, l, "grade-multiplicities", check_mults)
 
-            if n % 2 == 0:
+def _check_grade_multiplicities(ctx, n, l):
+    blocks = ctx.shared(_plus_blocks, n, l)
+    got = [(g, mult) for g, _, mult in blocks]
+    want = [(g, _expected_grade_mult(n, g)) for g in _expected_grades(n, l)]
+    notes = "" if got == want else f"layout {got}, expected {want}"
+    return got == want, {"grades": len(blocks)}, notes
 
-                def check_pair(n=n, l=l, blocks=blocks):
-                    other = rdm_eigen_by_grade(n, l, "minus")
-                    if [(g, m) for g, _, m in blocks] != [
-                        (g, m) for g, _, m in other
-                    ]:
-                        return False, {}, "grade layout differs between the pair"
-                    dev = max(
-                        abs(a - b)
-                        for (_, a, _), (_, b, _) in zip(blocks, other)
-                    )
-                    return dev < 1e-10, {"spectrum_dev": dev}, ""
 
-                _timed(col, n, l, "pure-state-pair", check_pair)
-    return col
+def _check_pure_state_pair(ctx, n, l):
+    blocks = ctx.shared(_plus_blocks, n, l)
+    other = rdm_eigen_by_grade(n, l, "minus")
+    if [(g, m) for g, _, m in blocks] != [(g, m) for g, _, m in other]:
+        return False, {}, "grade layout differs between the pair"
+    dev = max(abs(a - b) for (_, a, _), (_, b, _) in zip(blocks, other))
+    return dev < 1e-10, {"spectrum_dev": dev}, ""
 
 
 # ---------------------------------------------------------------------------
@@ -368,57 +402,50 @@ def _parent_lengths(config: CampaignConfig, n: int) -> list[int]:
         return [l for l in config.l_list if l >= 2]
     out = []
     for l in range(max(2, n), n + 4):
-        if n**l <= min(config.cap_sparse, PARENT_MAX_DIM):
+        if n**l <= config.cap_sparse:
             out.append(l)
     return out or [n]
 
 
-def _run_parent(config: CampaignConfig) -> _Collector:
-    col = _Collector("parent")
+def _parent_grid(config: CampaignConfig) -> list:
+    return [(n, l) for n in config.n_list for l in _parent_lengths(config, n)]
+def _sparse_cap(ctx, n, l):
+    return _cap_exceeded(n**l > ctx.config.cap_sparse)
 
-    def su2_kernels():
-        dims = {}
-        for l in (4, 5, 6, 7):
-            H = chain_hamiltonian(majumdar_ghosh(), l)
-            dims[l] = kernel_basis(H.matrix, tol=config.tol_kernel).dim
-        ok = dims == {4: 5, 5: 4, 6: 5, 7: 4}
-        numbers = {f"dim_l{l}": d for l, d in dims.items()}
-        return ok, numbers, ""
 
-    _timed(col, 2, None, "dimer-kernel-dims", su2_kernels)
+def _dense_cap(ctx, n, l):
+    return _cap_exceeded(n**l > min(ctx.config.cap_sparse, ctx.config.cap_dense))
 
-    def su2_aklt():
-        H = chain_hamiltonian(aklt_su2(), 4)
-        dim = kernel_basis(H.matrix, tol=config.tol_kernel).dim
-        return dim == 4, {"kernel_dim": dim}, ""
 
-    _timed(col, 3, None, "spin1-kernel-dim", su2_aklt)
+def _report_row(report):
+    return report.passed, dict(report.numbers), report.notes
 
-    for n in config.n_list:
-        for l in _parent_lengths(config, n):
-            if n**l > min(config.cap_sparse, PARENT_MAX_DIM):
-                col.skip(n, l, "parent-kernel", "cap-exceeded")
-                col.skip(n, l, "frustration-free", "cap-exceeded")
-                continue
 
-            def check_parent(n=n, l=l):
-                report = parent_check(n, l, cap=config.cap_sparse)
-                return report.passed, dict(report.numbers), report.notes
+def _check_dimer_kernel_dims(ctx, n, l):
+    dims = {}
+    for length in (4, 5, 6, 7):
+        H = chain_hamiltonian(majumdar_ghosh(), length)
+        dims[length] = kernel_basis(H.matrix, tol=ctx.config.tol_kernel).dim
+    ok = dims == {4: 5, 5: 4, 6: 5, 7: 4}
+    return ok, {f"dim_l{length}": d for length, d in dims.items()}, ""
 
-            _timed(col, n, l, "parent-kernel", check_parent)
 
-            if n**l <= config.cap_dense:
+def _check_spin1_kernel_dim(ctx, n, l):
+    H = chain_hamiltonian(aklt_su2(), 4)
+    dim = kernel_basis(H.matrix, tol=ctx.config.tol_kernel).dim
+    return dim == 4, {"kernel_dim": dim}, ""
 
-                def check_ff(n=n, l=l):
-                    report = frustration_free_check(
-                        so_n_aklt(n), l, cap=config.cap_sparse
-                    )
-                    return report.passed, dict(report.numbers), report.notes
 
-                _timed(col, n, l, "frustration-free", check_ff)
-            else:
-                col.skip(n, l, "frustration-free", "cap-exceeded")
-    return col
+def _check_parent_kernel(ctx, n, l):
+    config = ctx.config
+    return _report_row(parent_check(n, l, cap=config.cap_sparse, tol=config.tol_kernel))
+
+
+def _check_frustration_free(ctx, n, l):
+    config = ctx.config
+    return _report_row(
+        frustration_free_check(so_n_aklt(n), l, cap=config.cap_sparse, tol=config.tol_kernel)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,101 +453,71 @@ def _run_parent(config: CampaignConfig) -> _Collector:
 # ---------------------------------------------------------------------------
 
 
-def _run_spt(config: CampaignConfig) -> _Collector:
-    col = _Collector("spt")
-    for n in config.n_list:
+def _check_cocycle_spin(ctx, n, l):
+    sign = cocycle_sign(n, "SPIN")
+    return sign == -1, {"sign": sign}, ""
 
-        def check_spin(n=n):
-            sign = cocycle_sign(n, "SPIN")
-            return sign == -1, {"sign": sign}, ""
 
-        _timed(col, n, None, "cocycle-spin", check_spin)
+def _check_cocycle_defining(ctx, n, l):
+    sign = cocycle_sign(n, "DEFINING")
+    return sign == 1, {"sign": sign}, ""
 
-        def check_defining(n=n):
-            sign = cocycle_sign(n, "DEFINING")
-            return sign == 1, {"sign": sign}, ""
 
-        _timed(col, n, None, "cocycle-defining", check_defining)
+def _check_index_clifford(ctx, n, l):
+    sign = mps_spt_index(clifford_tensors(n))
+    return sign == -1, {"index": sign}, ""
 
-        def check_clifford_index(n=n):
-            sign = mps_spt_index(clifford_tensors(n))
-            return sign == -1, {"index": sign}, ""
 
-        _timed(col, n, None, "index-clifford", check_clifford_index)
+def _check_index_product(ctx, n, l):
+    sign = mps_spt_index(product_tensors(n))
+    return sign == 1, {"index": sign}, ""
 
-        def check_product_index(n=n):
-            sign = mps_spt_index(product_tensors(n))
-            return sign == 1, {"index": sign}, ""
 
-        _timed(col, n, None, "index-product", check_product_index)
-
-        if n == 3:
-
-            def check_aklt_index():
-                sign = mps_spt_index(aklt_tensors())
-                return sign == -1, {"index": sign}, ""
-
-            _timed(col, n, None, "index-spin1-aklt", check_aklt_index)
-    return col
-
+def _check_index_spin1_aklt(ctx, n, l):
+    sign = mps_spt_index(aklt_tensors())
+    return sign == -1, {"index": sign}, ""
 
 # ---------------------------------------------------------------------------
 # cpt campaign
 # ---------------------------------------------------------------------------
 
 
-def _cpt_lengths(config: CampaignConfig) -> tuple:
-    return config.l_list or (4, 6)
+def _cpt_grid(config: CampaignConfig) -> list:
+    return [(n, l) for n in config.n_list for l in config.l_list or (4, 6)]
+
+def _even_n_even_l(ctx, n, l):
+    if n % 2 == 1:
+        return False
+    return "not-applicable-odd-length" if l % 2 == 1 else True
 
 
-def _run_cpt(config: CampaignConfig) -> _Collector:
-    col = _Collector("cpt")
-    for n in config.n_list:
-        for l in _cpt_lengths(config):
-            if n % 2 == 1:
-                col.skip(n, l, "cpt-suite", "not-applicable-odd-n")
-                continue
-            expected_pair = FIXES if n % 4 == 0 else SWAPS
+def _pair_row(ctx, n, result):
+    verdict, res = result
+    expected_pair = FIXES if n % 4 == 0 else SWAPS
+    matched = min(res.values())
+    ok = verdict == expected_pair and matched < ctx.config.tol_match
+    numbers = dict(res, matched_residual=matched)
+    return ok, numbers, f"verdict {verdict}, expected {expected_pair}"
 
-            def check_conj(n=n, l=l):
-                verdict, res = conjugation_check(n, l)
-                matched = min(res.values())
-                ok = verdict == expected_pair and matched < config.tol_match
-                numbers = dict(res, matched_residual=matched)
-                return ok, numbers, f"verdict {verdict}, expected {expected_pair}"
 
-            _timed(col, n, l, "conjugation", check_conj)
+def _check_conjugation(ctx, n, l):
+    return _pair_row(ctx, n, conjugation_check(n, l))
 
-            if l % 2 == 0:
 
-                def check_refl(n=n, l=l):
-                    verdict, res = reflection_check(n, l)
-                    matched = min(res.values())
-                    ok = verdict == expected_pair and matched < config.tol_match
-                    numbers = dict(res, matched_residual=matched)
-                    return ok, numbers, f"verdict {verdict}, expected {expected_pair}"
+def _check_reflection(ctx, n, l):
+    return _pair_row(ctx, n, reflection_check(n, l))
 
-                _timed(col, n, l, "reflection", check_refl)
-            else:
-                col.skip(n, l, "reflection", "not-applicable-odd-length")
 
-            def check_tr(n=n, l=l):
-                verdict, res = time_reversal_check(n, l)
-                matched = min(res["time_reversal_fix"], res["time_reversal_swap"])
-                ok = verdict == INVARIANT and matched < config.tol_match
-                notes = f"verdict {verdict}, expected {INVARIANT}"
-                return ok, dict(res, matched_residual=matched), notes
+def _check_time_reversal(ctx, n, l):
+    verdict, res = time_reversal_check(n, l)
+    matched = min(res["time_reversal_fix"], res["time_reversal_swap"])
+    ok = verdict == INVARIANT and matched < ctx.config.tol_match
+    notes = f"verdict {verdict}, expected {INVARIANT}"
+    return ok, dict(res, matched_residual=matched), notes
 
-            _timed(col, n, l, "time-reversal", check_tr)
 
-            def check_breaking(n=n, l=l):
-                report = on_site_breaking_check(
-                    n, l, rotations=3, seed=config.seed
-                )
-                return report.passed, dict(report.numbers), report.notes
-
-            _timed(col, n, l, "on-site-breaking", check_breaking)
-    return col
+def _check_on_site_breaking(ctx, n, l):
+    return _report_row(on_site_breaking_check(n, l, rotations=3, seed=ctx.config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -533,61 +530,49 @@ def _random_element(n: int, rng: np.random.Generator) -> CliffordElement:
     idx = rng.choice(1 << n, size=terms, replace=False)
     coefs = rng.standard_normal(terms) + 1.0j * rng.standard_normal(terms)
     return CliffordElement(n, {int(b): complex(c) for b, c in zip(idx, coefs)})
+def _check_matrix_oracle(ctx, n, l):
+    seed = ctx.config.seed
+    rng = np.random.default_rng((seed, n))
+    # at odd n the top word realizes to a scalar, so the matrix
+    # trace also sees the full-mask coefficient
+    full = (1 << n) - 1
+    alias = 0.0 if n % 2 == 0 else 1.0 / gamma0(n).coef[full]
+    dim = realize(CliffordElement.one(n)).shape[0]
+    worst_prod = 0.0
+    worst_trace = 0.0
+    for _ in range(SELFTEST_SAMPLES):
+        a = _random_element(n, rng)
+        b = _random_element(n, rng)
+        left = realize(a * b)
+        right = realize(a) @ realize(b)
+        scale = max(1.0, float(np.abs(right).max()))
+        worst_prod = max(worst_prod, float(np.abs(left - right).max()) / scale)
+        tr = trace(a) + dim * alias * a.coef.get(full, 0.0)
+        mat_tr = complex(np.trace(realize(a)))
+        tscale = max(1.0, abs(mat_tr))
+        worst_trace = max(worst_trace, abs(tr - mat_tr) / tscale)
+    numbers = {
+        "samples": SELFTEST_SAMPLES,
+        "max_product_rel": worst_prod,
+        "max_trace_rel": worst_trace,
+        "seed": seed,
+    }
+    return worst_prod < 1e-10 and worst_trace < 1e-10, numbers, ""
 
 
-def _run_selftest(config: CampaignConfig) -> _Collector:
-    col = _Collector("clifford-selftest")
-    for n in config.n_list:
-        if n > 8:
-            col.skip(n, None, "matrix-oracle", "cap-exceeded")
-            continue
-
-        def check_oracle(n=n):
-            rng = np.random.default_rng((config.seed, n))
-            # at odd n the top word realizes to a scalar, so the matrix
-            # trace also sees the full-mask coefficient
-            full = (1 << n) - 1
-            alias = 0.0 if n % 2 == 0 else 1.0 / gamma0(n).coef[full]
-            dim = realize(CliffordElement.one(n)).shape[0]
-            worst_prod = 0.0
-            worst_trace = 0.0
-            for _ in range(SELFTEST_SAMPLES):
-                a = _random_element(n, rng)
-                b = _random_element(n, rng)
-                left = realize(a * b)
-                right = realize(a) @ realize(b)
-                scale = max(1.0, float(np.abs(right).max()))
-                worst_prod = max(worst_prod, float(np.abs(left - right).max()) / scale)
-                tr = trace(a) + dim * alias * a.coef.get(full, 0.0)
-                mat_tr = complex(np.trace(realize(a)))
-                tscale = max(1.0, abs(mat_tr))
-                worst_trace = max(worst_trace, abs(tr - mat_tr) / tscale)
-            numbers = {
-                "samples": SELFTEST_SAMPLES,
-                "max_product_rel": worst_prod,
-                "max_trace_rel": worst_trace,
-                "seed": config.seed,
-            }
-            return worst_prod < 1e-10 and worst_trace < 1e-10, numbers, ""
-
-        _timed(col, n, None, "matrix-oracle", check_oracle)
-
-        def check_anticomm(n=n):
-            worst = 0.0
-            eye = None
-            for i in range(1, n + 1):
-                gi = realize(CliffordElement.gamma(n, i))
-                if eye is None:
-                    eye = np.eye(len(gi))
-                for j in range(i, n + 1):
-                    gj = realize(CliffordElement.gamma(n, j))
-                    anti = gi @ gj + gj @ gi
-                    target = 2.0 * eye if i == j else 0.0 * eye
-                    worst = max(worst, float(np.abs(anti - target).max()))
-            return worst < 1e-12, {"max_dev": worst}, ""
-
-        _timed(col, n, None, "anticommutation", check_anticomm)
-    return col
+def _check_anticommutation(ctx, n, l):
+    worst = 0.0
+    eye = None
+    for i in range(1, n + 1):
+        gi = realize(CliffordElement.gamma(n, i))
+        if eye is None:
+            eye = np.eye(len(gi))
+        for j in range(i, n + 1):
+            gj = realize(CliffordElement.gamma(n, j))
+            anti = gi @ gj + gj @ gi
+            target = 2.0 * eye if i == j else 0.0 * eye
+            worst = max(worst, float(np.abs(anti - target).max()))
+    return worst < 1e-12, {"max_dev": worst}, ""
 
 
 # ---------------------------------------------------------------------------
@@ -612,88 +597,108 @@ def _wedge_pair_rep(n: int, k: int):
     return apply
 
 
-def _run_repr_dims(config: CampaignConfig) -> _Collector:
-    col = _Collector("repr-dims")
+_VECTOR_PAIR_DIMS = {3: [1, 3, 5], 5: [1, 10, 14]}
 
-    def check_cg():
-        spins = [s / 2.0 for s in range(0, 9)]
-        pairs = 0
-        for mu in spins:
-            for nu in spins:
-                total = sum(int(round(2 * j + 1)) for j in clebsch_gordan_dims(mu, nu))
-                if total != int(round((2 * mu + 1) * (2 * nu + 1))):
-                    return False, {"mu": mu, "nu": nu}, "dimension sum mismatch"
-                pairs += 1
-        return True, {"pairs": pairs}, ""
+def _check_cg_dimension_sum(ctx, n, l):
+    spins = [s / 2.0 for s in range(0, 9)]
+    pairs = 0
+    for mu in spins:
+        for nu in spins:
+            total = sum(int(round(2 * j + 1)) for j in clebsch_gordan_dims(mu, nu))
+            if total != int(round((2 * mu + 1) * (2 * nu + 1))):
+                return False, {"mu": mu, "nu": nu}, "dimension sum mismatch"
+            pairs += 1
+    return True, {"pairs": pairs}, ""
 
-    _timed(col, None, None, "cg-dimension-sum", check_cg)
 
-    def check_iso3():
-        rep = isotypic_decomposition(so_n_casimir(3, _pair_rep(3)))
-        dims = sorted(d for _, d in rep.blocks)
-        return dims == [1, 3, 5], {"total_dim": rep.total_dim}, ""
+def _check_isotypic_vector_pair(ctx, n, l):
+    rep = isotypic_decomposition(so_n_casimir(n, _pair_rep(n)))
+    dims = sorted(d for _, d in rep.blocks)
+    return dims == _VECTOR_PAIR_DIMS[n], {"total_dim": rep.total_dim}, ""
 
-    _timed(col, 3, None, "isotypic-vector-pair", check_iso3)
 
-    def check_iso5():
-        rep = isotypic_decomposition(so_n_casimir(5, _pair_rep(5)))
-        dims = sorted(d for _, d in rep.blocks)
-        return dims == [1, 10, 14], {"total_dim": rep.total_dim}, ""
+def _check_wedge_branching(ctx, n, l):
+    for k in range(0, n + 1):
+        lhs, (lo, hi, rest) = pieri_dimension_check(n, k)
+        rep = isotypic_decomposition(so_n_casimir(n, _wedge_pair_rep(n, k)))
+        if rep.total_dim != lhs:
+            return False, {"k": k}, "total dimension mismatch"
+        expected = {}
+        for kk, d in ((k - 1, lo), (k + 1, hi)):
+            if d == 0:
+                continue
+            Ck = so_n_casimir(n, lambda i, j, kk=kk: wedge_generator(n, kk, i, j))
+            val = float(Ck[0, 0].real)
+            if np.abs(Ck - val * np.eye(len(Ck))).max() > 1e-10:
+                return False, {"k": k}, "wedge Casimir is not scalar"
+            key = round(val, 6)
+            expected[key] = expected.get(key, 0) + d
+        rest_found = 0
+        for val, d in rep.blocks:
+            key = round(val, 6)
+            if key in expected:
+                if d != expected[key]:
+                    return False, {"k": k}, "isotypic block size mismatch"
+            else:
+                rest_found += d
+        if rest_found != rest:
+            return False, {"k": k}, "leftover block size mismatch"
+    return True, {"max_grade": n}, ""
 
-    _timed(col, 5, None, "isotypic-vector-pair", check_iso5)
 
-    for n in config.n_list:
-        if n > PIERI_MAX_N:
-            col.skip(n, None, "wedge-branching", "cap-exceeded")
-            continue
+# ---------------------------------------------------------------------------
+# the table: campaigns and their checks in run order
+# ---------------------------------------------------------------------------
 
-        def check_pieri(n=n):
-            for k in range(0, n + 1):
-                lhs, (lo, hi, rest) = pieri_dimension_check(n, k)
-                rep = isotypic_decomposition(so_n_casimir(n, _wedge_pair_rep(n, k)))
-                if rep.total_dim != lhs:
-                    return False, {"k": k}, "total dimension mismatch"
-                expected = {}
-                for kk, d in ((k - 1, lo), (k + 1, hi)):
-                    if d == 0:
-                        continue
-                    Ck = so_n_casimir(
-                        n, lambda i, j, kk=kk: wedge_generator(n, kk, i, j)
-                    )
-                    val = float(Ck[0, 0].real)
-                    if np.abs(Ck - val * np.eye(len(Ck))).max() > 1e-10:
-                        return False, {"k": k}, "wedge Casimir is not scalar"
-                    key = round(val, 6)
-                    expected[key] = expected.get(key, 0) + d
-                rest_found = 0
-                for val, d in rep.blocks:
-                    key = round(val, 6)
-                    if key in expected:
-                        if d != expected[key]:
-                            return False, {"k": k}, "isotypic block size mismatch"
-                    else:
-                        rest_found += d
-                if rest_found != rest:
-                    return False, {"k": k}, "leftover block size mismatch"
-            return True, {"max_grade": n}, ""
+_CHECKS = tuple(_Check(*entry) for entry in (
+    ("transfer", "transfer-spectrum", _each_n, None, _check_transfer_spectrum,
+     _eigenvalue_rows),
+    ("transfer", "correlation-length", _each_n, None, _check_correlation_length,
+     _correlator_rows),
+    ("transfer", "peripheral-count", _each_n, None, _check_peripheral_count),
+    ("transfer", "factorized-primitivity", _each_n, _even_n, _check_factorized_primitivity),
+    ("transfer", "correlators-vanish", _each_n,
+     lambda ctx, n, l: ctx.shared(_channel, n) == 0.0, _check_correlators_vanish),
+    ("transfer", "decay-slope", _each_n,
+     lambda ctx, n, l: 0.0 < ctx.shared(_channel, n) < 1.0 - 1e-9, _check_decay_slope),
+    ("rdm", "marginal-spectrum", _rdm_grid, _rdm_cap, _check_marginal_spectrum, _mu_rows),
+    ("rdm", "grade-multiplicities", _rdm_grid, lambda ctx, n, l: _rdm_cap(ctx, n, l) is True,
+     _check_grade_multiplicities),
+    ("rdm", "pure-state-pair", _rdm_grid,
+     lambda ctx, n, l: n % 2 == 0 and _rdm_cap(ctx, n, l) is True, _check_pure_state_pair),
+    ("parent", "dimer-kernel-dims", _at((2, None)), None, _check_dimer_kernel_dims),
+    ("parent", "spin1-kernel-dim", _at((3, None)), None, _check_spin1_kernel_dim),
+    ("parent", "parent-kernel", _parent_grid, _sparse_cap, _check_parent_kernel),
+    ("parent", "frustration-free", _parent_grid, _dense_cap, _check_frustration_free),
+    ("spt", "cocycle-spin", _each_n, None, _check_cocycle_spin),
+    ("spt", "cocycle-defining", _each_n, None, _check_cocycle_defining),
+    ("spt", "index-clifford", _each_n, None, _check_index_clifford),
+    ("spt", "index-product", _each_n, None, _check_index_product),
+    ("spt", "index-spin1-aklt", _each_n, lambda ctx, n, l: n == 3, _check_index_spin1_aklt),
+    ("cpt", "cpt-suite", _cpt_grid,
+     lambda ctx, n, l: "not-applicable-odd-n" if n % 2 else False, None),
+    ("cpt", "conjugation", _cpt_grid, _even_n, _check_conjugation),
+    ("cpt", "reflection", _cpt_grid, _even_n_even_l, _check_reflection),
+    ("cpt", "time-reversal", _cpt_grid, _even_n, _check_time_reversal),
+    ("cpt", "on-site-breaking", _cpt_grid, _even_n, _check_on_site_breaking),
+    ("clifford-selftest", "matrix-oracle", _each_n,
+     lambda ctx, n, l: _cap_exceeded(n > 8), _check_matrix_oracle),
+    ("clifford-selftest", "anticommutation", _each_n, lambda ctx, n, l: n <= 8,
+     _check_anticommutation),
+    ("repr-dims", "cg-dimension-sum", _at((None, None)), None, _check_cg_dimension_sum),
+    ("repr-dims", "isotypic-vector-pair", _at((3, None), (5, None)), None,
+     _check_isotypic_vector_pair),
+    ("repr-dims", "wedge-branching", _each_n,
+     lambda ctx, n, l: _cap_exceeded(n > PIERI_MAX_N), _check_wedge_branching),
+))
 
-        _timed(col, n, None, "wedge-branching", check_pieri)
-    return col
+# the campaign names, in table order, then "all"
+CAMPAIGNS = (*dict.fromkeys(check.campaign for check in _CHECKS), "all")
 
 
 # ---------------------------------------------------------------------------
 # document assembly
 # ---------------------------------------------------------------------------
-
-_RUNNERS = {
-    "transfer": _run_transfer,
-    "rdm": _run_rdm,
-    "parent": _run_parent,
-    "spt": _run_spt,
-    "cpt": _run_cpt,
-    "clifford-selftest": _run_selftest,
-    "repr-dims": _run_repr_dims,
-}
 
 
 def _sort_key(row: dict):
@@ -707,15 +712,7 @@ def _sort_key(row: dict):
 
 def run_campaign(config: CampaignConfig) -> dict:
     t0 = time.perf_counter()
-    names = list(_RUNNERS) if config.campaign == "all" else [config.campaign]
-    rows: list[dict] = []
-    tables: dict[str, list] = {}
-    if config.n_list:
-        for name in names:
-            col = _RUNNERS[name](config)
-            rows.extend(col.rows)
-            for table, trs in col.tables.items():
-                tables.setdefault(table, []).extend(trs)
+    rows, tables = _campaign_rows(config) if config.n_list else ([], {})
     rows.sort(key=_sort_key)
     for table in tables:
         tables[table] = [list(r) for r in sorted(tables[table])]
@@ -836,15 +833,8 @@ def emit(report: dict, fmt: str, out: str | None = None) -> list[str]:
     import pathlib
     import sys
 
-    if fmt == "json":
-        payload = report_to_json(report)
-        if out is None:
-            sys.stdout.write(payload)
-            return []
-        pathlib.Path(out).write_text(payload)
-        return [out]
-    if fmt == "text":
-        payload = report_to_text(report)
+    if fmt in ("json", "text"):
+        payload = report_to_json(report) if fmt == "json" else report_to_text(report)
         if out is None:
             sys.stdout.write(payload)
             return []

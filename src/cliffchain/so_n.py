@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from .checks import cluster_degeneracies
 from .clifford import CliffordElement
 
 CLUSTER_TOL = 1e-8
@@ -178,14 +179,7 @@ def isotypic_decomposition(C: np.ndarray) -> IsotypicReport:
         raise ValueError("Casimir matrix is not Hermitian")
     evals = np.linalg.eigvalsh(C)
     tol = CLUSTER_TOL * max(1.0, np.abs(evals).max())
-    blocks = []
-    start = 0
-    for k in range(1, len(evals) + 1):
-        if k == len(evals) or evals[k] - evals[k - 1] > tol:
-            chunk = evals[start:k]
-            blocks.append((float(chunk.mean()), len(chunk)))
-            start = k
-    return IsotypicReport(blocks, len(evals))
+    return IsotypicReport(cluster_degeneracies(evals, tol), len(evals))
 
 
 def pieri_dimension_check(n: int, k: int) -> tuple[int, list[int]]:

@@ -125,6 +125,21 @@ def test_so_n_aklt_term_spectrum_n4():
                                                      (pytest.approx(2.0, abs=1e-12), 9)]
 
 
+def test_cluster_degeneracies_splits_sorted_values_at_gaps():
+    import cliffchain
+    from cliffchain import mps, so_n
+
+    assert cliffchain.cluster_degeneracies is cluster_degeneracies
+    assert mps.cluster_degeneracies is so_n.cluster_degeneracies is cluster_degeneracies
+    # unsorted input; the top cluster spans 8e-10 > tol, but no gap exceeds tol
+    vals = [2.0 + 4e-10, 0.0, 2.0, 1e-12, 2.0 + 8e-10]
+    assert cluster_degeneracies(vals, tol=5e-10) == [
+        (pytest.approx(5e-13, abs=1e-15), 2),
+        (pytest.approx(2.0 + 4e-10, abs=1e-14), 3),
+    ]
+    assert cluster_degeneracies([], tol=1.0) == []
+
+
 def test_aklt_su2_is_the_spin2_projector():
     h = build_interaction(aklt_su2())
     assert np.max(np.abs(h - spin_projector(1, 2))) < 1e-12

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from cliffchain import reporting
+from cliffchain.checks import VerificationReport
 from cliffchain.reporting import (
     CampaignConfig,
     emit,
@@ -127,3 +129,59 @@ def test_emit_csv_tables(tmp_path):
         emit(report, "csv-tables", None)
     with pytest.raises(ValueError):
         emit(report, "yaml", str(tmp_path / "x"))
+
+
+def _row(report, name, n, l):
+    rows = [r for r in report["checks"] if (r["name"], r["n"], r["l"]) == (name, n, l)]
+    assert len(rows) == 1
+    return rows[0]
+
+
+def test_tol_kernel_reaches_the_parent_check():
+    # at (3, 4) the cut-off 0.2 times the norm bound 8 is 1.6, above the
+    # first excited level 0.898, so the kernel comes out too large
+    loose = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(4,), tol_kernel=0.2))
+    assert _row(loose, "parent-kernel", 3, 4)["status"] == "fail"
+    assert _row(loose, "parent-kernel", 3, 4)["numbers"]["kernel_dim"] > 4
+    default = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(4,)))
+    assert _row(default, "parent-kernel", 3, 4)["status"] == "pass"
+
+
+def test_cap_sparse_is_the_parent_cap():
+    at = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(6,), cap_sparse=729))
+    assert _row(at, "parent-kernel", 3, 6)["status"] == "pass"
+    assert _row(at, "frustration-free", 3, 6)["status"] == "pass"
+    below = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(6,), cap_sparse=728))
+    for name in ("parent-kernel", "frustration-free"):
+        row = _row(below, name, 3, 6)
+        assert row["status"] == "skip" and row["notes"] == "cap-exceeded"
+
+
+def test_cap_sparse_above_the_default_widens_the_grid(monkeypatch):
+    def fake_parent_check(n, l, cap, tol):
+        assert n**l <= cap
+        return VerificationReport(f"parent_check(n={n}, l={l})", True, {"dim": float(n**l)})
+
+    monkeypatch.setattr(reporting, "parent_check", fake_parent_check)
+    report = run_campaign(CampaignConfig("parent", n_list=(4,), cap_sparse=4**7))
+    lengths = {r["l"] for r in report["checks"] if r["name"] == "parent-kernel"}
+    assert lengths == {4, 5, 6, 7}
+    assert _row(report, "parent-kernel", 4, 7)["numbers"]["dim"] == 4**7
+    assert _row(report, "frustration-free", 4, 7)["notes"] == "cap-exceeded"
+
+
+def test_a_raising_shared_input_fails_rows_not_the_campaign(monkeypatch):
+    def broken(n, l, boundary):
+        raise ValueError("no spectrum")
+
+    monkeypatch.setattr(reporting, "rdm_eigen_by_grade", broken)
+    report = run_campaign(CampaignConfig("rdm", n_list=(3, 4), l_list=(2,)))
+    assert [r["name"] for r in report["checks"]] == [
+        "grade-multiplicities", "marginal-spectrum",
+        "grade-multiplicities", "marginal-spectrum", "pure-state-pair",
+    ]
+    for row in report["checks"]:
+        assert row["status"] == "fail"
+        assert row["notes"] == "error: ValueError: no spectrum"
+    assert "mu_by_length" not in report["tables"]
+    assert report["summary"]["fail"] == 5
