@@ -1,13 +1,17 @@
 """Two- and three-site interactions, open chains, and kernel extraction.
 
-Chains are assembled as sparse sums of embedded local terms.  Kernel bases
-come from a dense eigensolve below DENSE_EIG_CAP and from ARPACK above it,
-always with explicit residual certification; a silent bad Ritz pair must
-never reach a caller.
+Chains are assembled as sparse sums of embedded local terms.  The kernel of
+an open chain of PSD terms is the intersection of the term kernels, and
+chain_kernel grows it one site at a time from thin SVDs, with the singular
+values on both sides of its cut-off as the certificate.  kernel_basis, a
+dense eigensolve of the whole chain up to DENSE_EIG_CAP, is the oracle it is
+checked against.  ARPACK serves only low_spectrum, and its Ritz pairs are
+certified by their residuals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,11 +178,17 @@ def build_interaction(spec: InteractionSpec) -> np.ndarray:
     return h
 
 
-def embedded_term(h: np.ndarray, l: int, x: int, d: int) -> sp.coo_matrix:
-    """h acting on sites x..x+support-1 of a length-l chain, identity elsewhere."""
+def _support(h: np.ndarray, d: int) -> int:
+    """Number of d-level sites a local term acts on."""
     support = round(np.log(h.shape[0]) / np.log(d))
     if d**support != h.shape[0]:
         raise ValueError(f"term of shape {h.shape} is not a {d}-level operator")
+    return support
+
+
+def embedded_term(h: np.ndarray, l: int, x: int, d: int) -> sp.coo_matrix:
+    """h acting on sites x..x+support-1 of a length-l chain, identity elsewhere."""
+    support = _support(h, d)
     if x < 0 or x + support > l:
         raise ValueError(f"term on sites {x}..{x + support - 1} does not fit length {l}")
     left = sp.identity(d**x, format="coo", dtype=complex)
@@ -221,9 +231,18 @@ def _norm_bound(H) -> float:
 
 @dataclass(frozen=True)
 class KernelBasis:
+    """Orthonormal kernel basis with the margin of its rank cut-off.
+
+    kept_max is the largest value taken as kernel and dropped_min the
+    smallest value above the cut-off tol: eigenvalue moduli for kernel_basis,
+    singular values over all steps for chain_kernel.
+    """
+
     vectors: np.ndarray
     residuals: np.ndarray
     tol: float
+    kept_max: float
+    dropped_min: float
 
     @property
     def dim(self) -> int:
@@ -238,54 +257,65 @@ def _certify_pairs(H, vals: np.ndarray, vecs: np.ndarray, scale: float) -> None:
         raise RuntimeError(f"uncertified Ritz pairs from the iterative eigensolver: {report}")
 
 
-def kernel_basis(H, tol: float | None = None, expected: int | None = None,
-                 method: str = "auto") -> KernelBasis:
-    """Orthonormal basis of the numerical kernel of a Hermitian H.
+def _real_if_exact(A: np.ndarray) -> np.ndarray:
+    return A if np.any(A.imag) else A.real
 
-    The iterative path assumes H is positive semidefinite (it hunts the
-    smallest algebraic eigenvalues); a clearly negative eigenvalue is an
-    error there, not a kernel candidate.
+
+def _margin(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
+    """Largest kept and smallest dropped value of a rank cut-off."""
+    return float(np.max(values[keep], initial=0.0)), float(np.min(values[~keep], initial=math.inf))
+
+
+def kernel_basis(H, tol: float = 1e-10) -> KernelBasis:
+    """Kernel of a Hermitian H from a dense eigensolve: the oracle for chain_kernel.
+
+    The cut-off is tol times the norm bound of H.  The solve runs in real
+    arithmetic when H has no imaginary part, and H of dimension above
+    DENSE_EIG_CAP is refused.
     """
-    dim = H.shape[0]
-    scale = _norm_bound(H)
-    tol_eff = (1e-10 if tol is None else tol) * max(1.0, scale)
+    if H.shape[0] > DENSE_EIG_CAP:
+        raise ValueError(f"dense kernel of dimension {H.shape[0]} exceeds {DENSE_EIG_CAP}")
+    Hd = _real_if_exact(H.toarray() if sp.issparse(H) else np.asarray(H))
+    tol_eff = tol * max(1.0, _norm_bound(Hd))
+    vals, vecs = np.linalg.eigh(Hd)
+    keep = np.abs(vals) < tol_eff
+    V = vecs[:, keep]
+    return KernelBasis(V, np.linalg.norm(Hd @ V, axis=0), tol_eff, *_margin(np.abs(vals), keep))
 
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown kernel method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and dim < DENSE_EIG_CAP)
 
-    if use_dense:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        vals, vecs = np.linalg.eigh(Hd)
-        keep = np.abs(vals) < tol_eff
-        V = vecs[:, keep]
-    else:
-        k = (expected if expected is not None else 8) + 8
-        while True:
-            k = min(k, dim - 2)
-            try:
-                vals, vecs = spla.eigsh(H, k=k, which="SA",
-                                        ncv=min(dim - 1, max(4 * k, 40)), maxiter=10_000)
-            except spla.ArpackNoConvergence as exc:
-                raise RuntimeError(f"ARPACK failed to converge for k={k} on dim {dim}") from exc
-            _certify_pairs(H, vals, vecs, scale)
-            if np.min(vals) < -tol_eff:
-                raise RuntimeError(
-                    f"iterative kernel extraction hit eigenvalue {np.min(vals):.3e} < 0; "
-                    "the operator is not positive semidefinite")
-            keep = np.abs(vals) < tol_eff
-            if np.count_nonzero(keep) < k or k == dim - 2:
-                V = vecs[:, keep]
-                break
-            k = 2 * k  # every Ritz value was in the kernel; it may extend further
+def _apply_term(h: np.ndarray, X: np.ndarray, x: int, d: int) -> np.ndarray:
+    """h on sites x..x+support-1 of every column of X, by reshape."""
+    return (h @ X.reshape(d**x, h.shape[0], -1)).reshape(X.shape)
 
-    if V.shape[1] > 0:
-        V, _ = np.linalg.qr(V)
-    residuals = np.linalg.norm(H @ V, axis=0) if V.shape[1] else np.zeros(0)
-    gram_dev = np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) if V.shape[1] else 0.0
-    if gram_dev > 1e-10:
-        raise RuntimeError(f"kernel basis failed orthonormality, deviation {gram_dev:.3e}")
-    return KernelBasis(V, residuals, tol_eff)
+
+def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBasis:
+    """Kernel of the open chain sum_x h_x of a PSD term, grown site by site.
+
+    ker H is the intersection of the ker h_x, so a kernel basis V_m on m
+    sites extends as V_{m+1} = (V_m x 1_d) N, where N spans the null space
+    of (1 x h)(V_m x 1_d).  The rank comes from the singular values of that
+    d^(m+1) x (r d) matrix against tol times the norm bound of h; no
+    d^l x d^l array is formed.  The first step, from the identity on
+    support-1 sites, gives ker h.
+    """
+    support = _support(h, d)
+    if l < support:
+        raise ValueError(f"chain length {l} shorter than the term support {support}")
+    h = _real_if_exact(np.asarray(h))
+    tol_eff = tol * max(1.0, _norm_bound(h))
+    V = np.eye(d ** (support - 1), dtype=h.dtype)
+    kept, dropped = 0.0, math.inf
+    for m in range(support - 1, l):
+        r = V.shape[1]
+        M = _apply_term(h, np.kron(V, np.eye(d)), m + 1 - support, d)
+        _, sv, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+        null = sv < tol_eff
+        step_kept, step_dropped = _margin(sv, null)
+        kept, dropped = max(kept, step_kept), min(dropped, step_dropped)
+        N = vh[null].conj().T
+        V = (V @ N.reshape(r, d * N.shape[1])).reshape(d ** (m + 1), N.shape[1])
+    HV = sum(_apply_term(h, V, x, d) for x in range(l - support + 1))
+    return KernelBasis(V, np.linalg.norm(HV, axis=0), tol_eff, kept, dropped)
 
 
 def low_spectrum(spec: InteractionSpec, l: int, k: int = 6,
@@ -337,27 +367,17 @@ def projector_distance(Qa: np.ndarray, Qb: np.ndarray) -> float:
     return float(max(ra, rb))
 
 
-def subspace_intersection(Qa: np.ndarray, Qb: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the intersection of two orthonormal spans."""
-    if Qa.shape[1] == 0 or Qb.shape[1] == 0:
-        return np.zeros((Qa.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(Qa.conj().T @ Qb)
-    keep = s > 1.0 - tol
-    V = Qa @ U[:, keep]
-    if V.shape[1]:
-        V, _ = np.linalg.qr(V)
-    return V
-
-
 def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
                  tol: float = 1e-10) -> VerificationReport:
     """Chain kernel against the bond-algebra state span, dims and distance.
 
-    tol is the kernel cut-off of kernel_basis, relative to the norm bound.
+    The kernel comes from chain_kernel; tol is its cut-off, relative to the
+    norm bound of the local term.
     """
+    if n**l > cap:
+        raise ValueError(f"chain dimension {n}^{l} exceeds the cap {cap}")
     expected = 2 ** (n - 1)
-    H = chain_hamiltonian(so_n_aklt(n), l, cap)
-    K = kernel_basis(H.matrix, tol=tol, expected=expected)
+    K = chain_kernel(build_interaction(so_n_aklt(n)), l, n, tol)
     G = mps_ground_space(n, l)
     dist = projector_distance(K.vectors, G)
     passed = K.dim == expected and G.shape[1] == expected and dist < 1e-8
@@ -367,65 +387,47 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
         "mps_dim": float(G.shape[1]),
         "projector_distance": dist,
         "max_residual": float(np.max(K.residuals)) if K.dim else 0.0,
+        "kept_max": K.kept_max,
+        "dropped_min": K.dropped_min,
     }
     return VerificationReport(f"parent_check(n={n}, l={l})", passed, numbers)
-
-
-def _local_kernel(h: np.ndarray, tol: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return vecs[:, np.abs(vals) < tol]
 
 
 def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_CAP,
                            tol: float = 1e-10) -> VerificationReport:
     """Shift the term to PSD, then test ker(sum h_x) = intersection of ker h_x.
 
-    The two sides are computed independently: the left from the assembled
-    chain, the right by intersecting embedded per-term kernels.  The report
-    passes when they agree; whether the chain is frustration free is a
-    separate number in the payload.  tol is the kernel cut-off, relative to
-    the norm bound, of the chain, of each term and of the ground energy.
+    The two sides are computed independently: the left by the dense oracle
+    kernel_basis on the assembled chain, the right by chain_kernel's
+    site-by-site intersection.  The report passes when they agree; whether
+    the chain is frustration free (its kernel is not empty) is a separate
+    number in the payload, and ground_energy is the lowest eigenvalue modulus
+    of the shifted chain.  tol is the cut-off of both kernels, relative to
+    the norm bound of the chain and of the term.
     """
     d = spec.local_dim
-    support = spec.support
     if d**l > cap:
         raise ValueError(f"chain dimension {d}^{l} exceeds the cap {cap}")
     h = build_interaction(spec)
     shift = float(np.min(np.linalg.eigvalsh(h)))
     h_psd = h - shift * np.eye(h.shape[0])
 
-    terms = [embedded_term(h_psd, l, x, d) for x in range(l - support + 1)]
-    H = sum(terms[1:], terms[0]).tocsr()
-    scale = _norm_bound(H)
-    tol_eff = tol * max(1.0, scale)
+    terms = [embedded_term(h_psd, l, x, d) for x in range(l - spec.support + 1)]
+    K = kernel_basis(sum(terms[1:], terms[0]), tol=tol)
+    inter = chain_kernel(h_psd, l, d, tol)
 
-    K = kernel_basis(H, tol=tol)
-
-    inter = None
-    for x in range(l - support + 1):
-        V_local = _local_kernel(h_psd, tol * max(1.0, _norm_bound(h_psd)))
-        left = np.eye(d**x, dtype=complex)
-        right = np.eye(d ** (l - x - support), dtype=complex)
-        Q_x = np.kron(left, np.kron(V_local, right))
-        inter = Q_x if inter is None else subspace_intersection(inter, Q_x)
-    assert inter is not None
-
-    if spec.local_dim**l < DENSE_EIG_CAP:
-        e0 = float(np.min(np.linalg.eigvalsh(H.toarray())))
-    else:
-        vals, vecs = spla.eigsh(H, k=1, which="SA", maxiter=10_000)
-        _certify_pairs(H, vals, vecs, scale)
-        e0 = float(vals[0])
-
-    dist = projector_distance(K.vectors, inter)
-    ff = K.dim > 0 and e0 < tol_eff
-    passed = K.dim == inter.shape[1] and (K.dim == 0 or dist < 1e-8)
+    dist = projector_distance(K.vectors, inter.vectors)
+    passed = K.dim == inter.dim and (K.dim == 0 or dist < 1e-8)
     numbers = {
-        "ground_energy": e0,
+        "ground_energy": float(np.min(K.residuals)) if K.dim else K.dropped_min,
         "kernel_dim": float(K.dim),
-        "intersection_dim": float(inter.shape[1]),
+        "intersection_dim": float(inter.dim),
         "projector_distance": dist,
         "term_shift": -shift,
-        "frustration_free": 1.0 if ff else 0.0,
+        "frustration_free": 1.0 if K.dim else 0.0,
+        "kept_max": inter.kept_max,
+        "dropped_min": inter.dropped_min,
+        "oracle_kept_max": K.kept_max,
+        "oracle_dropped_min": K.dropped_min,
     }
     return VerificationReport(f"frustration_free_check({spec.kind}, l={l})", passed, numbers)

@@ -205,27 +205,6 @@ def psi_minus(n: int, l: int, B: CliffordElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def apply_E(n: int, A: np.ndarray, B: CliffordElement) -> CliffordElement:
-    """E_A(B) = (1/n) sum_ij A_ij gamma_i B gamma_j."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} observable, got {A.shape}")
-    full = (1 << n) - 1
-    out: dict = {}
-    for bits, c in B.coef.items():
-        for i in range(n):
-            si = 1 - 2 * ((bits & ((1 << i) - 1)).bit_count() & 1)
-            bi = bits ^ (1 << i)
-            for j in range(n):
-                a = A[i, j]
-                if a == 0.0:
-                    continue
-                sj = 1 - 2 * ((bi & full & ~((1 << (j + 1)) - 1)).bit_count() & 1)
-                k = bi ^ (1 << j)
-                out[k] = out.get(k, 0.0) + (a / n) * si * sj * c
-    return CliffordElement(n, out)
-
-
 def e_matrix(n: int, A: np.ndarray) -> np.ndarray:
     """Matrix of E_A on the 2^n monomial coefficient basis."""
     A = np.asarray(A, dtype=complex)

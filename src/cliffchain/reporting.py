@@ -8,11 +8,7 @@ serializes the document as json, per-table csv files, or a text summary.
 
 Reports are deterministic for a fixed config and version: rows are sorted,
 seeds are derived from the config seed, and json output is byte-identical
-between runs except for the timestamp, the recorded wall-clock times, and
-the parent-kernel rows that use ARPACK (chains of dimension at least
-hamiltonians.DENSE_EIG_CAP; by default (n, l) = (4, 6), (5, 5) and (5, 6)).
-scipy's eigsh draws its start vector from OS entropy, so the residuals and
-projector distances of those rows differ from run to run.
+between runs except for the timestamp and the recorded wall-clock times.
 """
 
 from __future__ import annotations
@@ -32,10 +28,11 @@ import numpy as np
 from . import __version__
 from .clifford import CliffordElement, gamma0, realize, trace
 from .hamiltonians import (
+    DENSE_EIG_CAP,
     aklt_su2,
-    chain_hamiltonian,
+    build_interaction,
+    chain_kernel,
     frustration_free_check,
-    kernel_basis,
     majumdar_ghosh,
     parent_check,
     so_n_aklt,
@@ -111,6 +108,8 @@ class CampaignConfig:
             raise ValueError("tolerances must be positive")
         if self.cap_dense < 2 or self.cap_sparse < 2:
             raise ValueError("caps must be at least 2")
+        if self.cap_dense > DENSE_EIG_CAP:
+            raise ValueError(f"cap_dense must not exceed the dense solver cap {DENSE_EIG_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +420,21 @@ def _report_row(report):
     return report.passed, dict(report.numbers), report.notes
 
 
+def _margins(kernels) -> dict:
+    return {"kept_max": max(K.kept_max for K in kernels),
+            "dropped_min": min(K.dropped_min for K in kernels)}
+
+
 def _check_dimer_kernel_dims(ctx, n, l):
-    dims = {}
-    for length in (4, 5, 6, 7):
-        H = chain_hamiltonian(majumdar_ghosh(), length)
-        dims[length] = kernel_basis(H.matrix, tol=ctx.config.tol_kernel).dim
-    ok = dims == {4: 5, 5: 4, 6: 5, 7: 4}
-    return ok, {f"dim_l{length}": d for length, d in dims.items()}, ""
+    h = build_interaction(majumdar_ghosh())
+    kernels = [chain_kernel(h, length, 2, ctx.config.tol_kernel) for length in (4, 5, 6, 7)]
+    numbers = {f"dim_l{length}": K.dim for length, K in zip((4, 5, 6, 7), kernels)}
+    return [K.dim for K in kernels] == [5, 4, 5, 4], {**numbers, **_margins(kernels)}, ""
 
 
 def _check_spin1_kernel_dim(ctx, n, l):
-    H = chain_hamiltonian(aklt_su2(), 4)
-    dim = kernel_basis(H.matrix, tol=ctx.config.tol_kernel).dim
-    return dim == 4, {"kernel_dim": dim}, ""
+    K = chain_kernel(build_interaction(aklt_su2()), 4, 3, ctx.config.tol_kernel)
+    return K.dim == 4, {"kernel_dim": K.dim, **_margins([K])}, ""
 
 
 def _check_parent_kernel(ctx, n, l):

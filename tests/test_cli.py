@@ -42,6 +42,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["transfer", "--format", "csv-tables"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["parent", "--cap-dense", "2049"])
+    assert err.value.code == 2
 
 
 def test_bad_n_value_exits_two():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffchain.hamiltonians import (
+    DENSE_EIG_CAP,
     ChainHamiltonian,
     InteractionSpec,
     KINDS,
@@ -13,6 +15,7 @@ from cliffchain.hamiltonians import (
     bilinear_biquadratic,
     build_interaction,
     chain_hamiltonian,
+    chain_kernel,
     cluster_degeneracies,
     embedded_term,
     frustration_free_check,
@@ -27,7 +30,6 @@ from cliffchain.hamiltonians import (
     q_matrix,
     so_n_aklt,
     south_pole,
-    subspace_intersection,
     swap_matrix,
     swap_q,
 )
@@ -245,20 +247,52 @@ def test_kernel_basis_certified():
     assert np.all(K.residuals < 1e-9)
 
 
-def test_kernel_dense_vs_iterative_agree():
-    H = chain_hamiltonian(so_n_aklt(3), 5).matrix
-    Kd = kernel_basis(H, method="dense")
-    Ki = kernel_basis(H, method="iterative", expected=4)
-    assert Kd.dim == Ki.dim == 4
-    assert projector_distance(Kd.vectors, Ki.vectors) < 1e-8
+def test_kernel_basis_is_dense_and_real_for_real_chains():
+    K = kernel_basis(chain_hamiltonian(so_n_aklt(3), 4).matrix)
+    assert K.dim == 4 and not np.iscomplexobj(K.vectors)
     with pytest.raises(ValueError):
-        kernel_basis(H, method="sideways")
+        kernel_basis(sp.identity(DENSE_EIG_CAP + 1, format="csr"))
 
 
-def test_iterative_kernel_rejects_indefinite():
-    H = chain_hamiltonian(south_pole(3), 4).matrix
-    with pytest.raises(RuntimeError):
-        kernel_basis(H, method="iterative", expected=2)
+def _psd_term(spec):
+    h = build_interaction(spec)
+    return h - np.min(np.linalg.eigvalsh(h)) * np.eye(h.shape[0])
+
+
+@pytest.mark.parametrize("spec, l, dim", [
+    *[(so_n_aklt(3), l, 4) for l in (2, 3, 4, 5, 6)],
+    # at l = 2 the kernel is the antisymmetric pairs plus the singlet
+    *[(so_n_aklt(4), l, dim) for l, dim in ((2, 7), (3, 8), (4, 8), (5, 8))],
+    *[(so_n_aklt(5), l, dim) for l, dim in ((2, 11), (3, 15), (4, 16))],
+    *[(majumdar_ghosh(), l, dim) for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
+    *[(aklt_su2(), l, 4) for l in (3, 4, 5, 6)],
+    # the twisted term's ground pair is antisymmetric: only the l = 3 singlet
+    # eps_ijk keeps every term at its minimum
+    *[(swap_q(3, 1.0, 0.3), l, dim) for l, dim in ((3, 1), (4, 0), (5, 0))],
+])
+def test_chain_kernel_matches_the_dense_oracle(spec, l, dim):
+    h, d = _psd_term(spec), spec.local_dim
+    oracle = kernel_basis(sum(embedded_term(h, l, x, d) for x in range(l - spec.support + 1)))
+    K = chain_kernel(h, l, d)
+    assert K.dim == oracle.dim == dim
+    assert projector_distance(K.vectors, oracle.vectors) < 1e-8
+    assert np.max(K.residuals, initial=0.0) < 1e-12
+    assert K.kept_max < 1e-13 and K.dropped_min > 0.1
+
+
+def test_chain_kernel_reaches_past_the_dense_oracle():
+    # dimension 5^7 = 78,125, far above DENSE_EIG_CAP
+    K = chain_kernel(build_interaction(so_n_aklt(5)), 7, 5)
+    assert K.dim == 16
+    assert projector_distance(K.vectors, mps_ground_space(5, 7)) < 1e-8
+
+
+def test_chain_kernel_validation():
+    h = build_interaction(so_n_aklt(3))
+    with pytest.raises(ValueError):
+        chain_kernel(h, 1, 3)
+    with pytest.raises(ValueError):
+        chain_kernel(h, 4, 2)
 
 
 def test_parent_check_grid():
@@ -350,6 +384,8 @@ def test_three_site_kernel_is_pair_intersection():
         G2 = mps_ground_space(n, 2)
         Qa = np.kron(G2, np.eye(n))
         Qb = np.kron(np.eye(n), G2)
-        inter = subspace_intersection(Qa, Qb)
+        # the intersection is spanned by the directions of Qa at angle 0 to span(Qb)
+        U, s, _ = np.linalg.svd(Qa.conj().T @ Qb)
+        inter = Qa @ U[:, s > 1.0 - 1e-8]
         assert inter.shape[1] == K.dim
         assert projector_distance(K.vectors, inter) < 1e-8

@@ -23,7 +23,6 @@ from cliffchain.mps import (
     _grades,
     _sign_left,
     _sign_right,
-    apply_E,
     coefvec,
     e_matrix,
     fcs_expectation,
@@ -152,22 +151,40 @@ def test_mps_vector_domain_validation():
 # --- transfer maps ---------------------------------------------------------
 
 
-def test_apply_E_identity_eigenvalues():
+def _apply_E_oracle(n, A, B):
+    """E_A(B) = (1/n) sum_ij A_ij gamma_i B gamma_j, term by term with inline signs.
+
+    A slow oracle for e_matrix, which builds the same map from the sign tables.
+    """
+    full = (1 << n) - 1
+    out = {}
+    for bits, c in B.coef.items():
+        for i in range(n):
+            si = 1 - 2 * ((bits & ((1 << i) - 1)).bit_count() & 1)
+            bi = bits ^ (1 << i)
+            for j in range(n):
+                sj = 1 - 2 * ((bi & full & ~((1 << (j + 1)) - 1)).bit_count() & 1)
+                k = bi ^ (1 << j)
+                out[k] = out.get(k, 0.0) + (A[i, j] / n) * si * sj * c
+    return CliffordElement(n, out)
+
+
+def test_e_matrix_identity_eigenvalues():
     for n in (3, 4, 6):
-        eye = np.eye(n)
+        M = e_matrix(n, np.eye(n))
         for idx in ((), (1,), (1, 2), (1, 3, 4)):
             if idx and max(idx) > n:
                 continue
-            B = g(n, *idx) if idx else CliffordElement.one(n)
-            out = apply_E(n, eye, B)
+            v = coefvec(g(n, *idx) if idx else CliffordElement.one(n))
             lam = transfer_eigenvalue(n, len(idx))
-            assert (out - lam * B).norm_max() < 1e-14
+            assert np.abs(M @ v - lam * v).max() < 1e-14
 
 
 def test_e_map_examples():
-    assert (apply_E(4, np.eye(4), gamma0(4)) + gamma0(4)).norm_max() < 1e-14
-    out = apply_E(6, np.eye(6), g(6, 1, 2))
-    assert (out - (1.0 / 3.0) * g(6, 1, 2)).norm_max() < 1e-14
+    top = coefvec(gamma0(4))
+    assert np.abs(e_matrix(4, np.eye(4)) @ top + top).max() < 1e-14
+    v = coefvec(g(6, 1, 2))
+    assert np.abs(e_matrix(6, np.eye(6)) @ v - v / 3.0).max() < 1e-14
 
 
 def test_apply_E_matches_matrix_realization():
@@ -176,7 +193,7 @@ def test_apply_E_matches_matrix_realization():
         rep = matrix_rep(n)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         B = rand_element(rng, n)
-        out = apply_E(n, A, B)
+        out = _apply_E_oracle(n, A, B)
         got = realize(out, rep)
         want = sum(
             A[i, j] * rep.gammas[i] @ realize(B, rep) @ rep.gammas[j]
