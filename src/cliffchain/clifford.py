@@ -270,6 +270,11 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+# Largest rank whose monomial images are all kept: 2^n images of D x D complex
+# entries, 2 MiB in total at n = 9 and 16 MiB at n = 10.
+_MONOMIAL_CACHE_MAX_N = 9
+
+
 @dataclass(frozen=True)
 class MatrixRealization:
     """Hermitian anticommuting unitaries realizing gamma_1..gamma_n on C^D."""
@@ -277,13 +282,26 @@ class MatrixRealization:
     n: int
     dim: int
     gammas: tuple
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def monomial(self, bits: int) -> np.ndarray:
-        """Realized gamma_I, factors multiplied in ascending index order."""
-        out = np.eye(self.dim, dtype=complex)
-        for i in range(self.n):
-            if bits >> i & 1:
-                out = out @ self.gammas[i]
+        """Realized gamma_I, factors multiplied in ascending index order.
+
+        The image is (gamma_I without its top generator) @ gamma_top, so each
+        new one costs a single product.  Up to _MONOMIAL_CACHE_MAX_N the images
+        are kept per realization; they are read-only, like the gammas.
+        """
+        out = self._images.get(bits)
+        if out is not None:
+            return out
+        if bits == 0:
+            out = np.eye(self.dim, dtype=complex)
+        else:
+            top = bits.bit_length() - 1
+            out = self.monomial(bits ^ (1 << top)) @ self.gammas[top]
+        out.setflags(write=False)
+        if self.n <= _MONOMIAL_CACHE_MAX_N:
+            self._images[bits] = out
         return out
 
 

@@ -412,7 +412,7 @@ def two_point_correlation(n: int, A, B, r: int, boundary: str = "omega") -> comp
 
 
 def _grade_weights(n: int, l: int) -> np.ndarray:
-    """Diagonal of the overlap kernel by grade: z_l(k) for k = 0..n.
+    """Diagonal of the overlap kernel by grade, over n^l: z_l(k) / n^l, k = 0..n.
 
     Z[L, R] is the coefficient of gamma_L x gamma_R in
     sum_{i_1..i_l} (gamma_{i_1}..gamma_{i_l}) x (gamma_{i_l}..gamma_{i_1}).
@@ -422,11 +422,13 @@ def _grade_weights(n: int, l: int) -> np.ndarray:
 
         z_{l+1}(k) = (-1)^(k-1) k z_l(k-1) + (-1)^k (n-k) z_l(k+1),  z_0 = e_0.
 
-    Index the result with _grades(n) to get the diagonal over monomials.
+    Each step here is divided by n, so the weights stay within [-1, 1] and
+    no length overflows the float range.  Index the result with _grades(n)
+    to get the diagonal over monomials.
     """
     k = np.arange(n + 1)
-    up = (-1.0) ** (k[1:] - 1) * k[1:]  # grade k-1 -> k
-    down = (-1.0) ** k[:-1] * (n - k[:-1])  # grade k+1 -> k
+    up = (-1.0) ** (k[1:] - 1) * k[1:] / n  # grade k-1 -> k
+    down = (-1.0) ** k[:-1] * (n - k[:-1]) / n  # grade k+1 -> k
     z = np.zeros(n + 1)
     z[0] = 1.0
     for _ in range(l):
@@ -437,20 +439,31 @@ def _grade_weights(n: int, l: int) -> np.ndarray:
     return z
 
 
-def gram_matrix(n: int, l: int, elems) -> np.ndarray:
-    """Gram matrix of state overlaps <psi(B_a), psi(B_b)> from bond data only.
+def _columns(elems) -> np.ndarray:
+    """Coefficient columns of a frame: an element list, or a (2^n, m) array as is."""
+    return elems if isinstance(elems, np.ndarray) else np.stack([coefvec(B) for B in elems], axis=1)
 
-    The overlap kernel is diagonal in the monomial basis, so with
-    w[K] = z_l(|K|) from _grade_weights and sq[K] = reversal_sign(|K|),
 
-        G = D^2 Bmat^H (w * sq * Bmat),
-
-    where the columns of Bmat are the coefficient vectors of elems.
-    """
-    Bmat = np.stack([coefvec(B) for B in elems], axis=1)
+def _scaled_gram(n: int, l: int, elems) -> np.ndarray:
+    """Gram matrix of the state overlaps divided by n^l (see gram_matrix)."""
+    Bmat = _columns(elems)
     diag = _grade_weights(n, l)[_grades(n)] * _sq_signs(n)
     G = (realized_dim(n) ** 2) * (Bmat.conj().T @ (diag[:, None] * Bmat))
     return 0.5 * (G + G.conj().T)
+
+
+def gram_matrix(n: int, l: int, elems) -> np.ndarray:
+    """Gram matrix of state overlaps <psi(B_a), psi(B_b)> from bond data only.
+
+    elems is a list of elements or a (2^n, m) array of coefficient columns.
+    The overlap kernel is diagonal in the monomial basis, so with
+    w[K] = z_l(|K|) / n^l from _grade_weights and sq[K] = reversal_sign(|K|),
+
+        G = n^l D^2 Bmat^H (w * sq * Bmat),
+
+    where the columns of Bmat are the coefficient vectors of elems.
+    """
+    return n**l * _scaled_gram(n, l, elems)
 
 
 def frame_operator_distance(
@@ -461,16 +474,19 @@ def frame_operator_distance(
     elems_b,
     coef_b: float,
 ) -> float:
-    """Spectral norm of sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|."""
-    elems = list(elems_a) + list(elems_b)
-    G = gram_matrix(n, l, elems)
-    signs = np.concatenate([coef_a * np.ones(len(elems_a)), -coef_b * np.ones(len(elems_b))])
+    """Spectral norm of sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|.
+
+    Each frame is a list of elements or a (2^n, m) array of coefficient columns.
+    """
+    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
+    G = gram_matrix(n, l, np.concatenate([cols_a, cols_b], axis=1))
+    signs = np.concatenate([coef_a * np.ones(cols_a.shape[1]), -coef_b * np.ones(cols_b.shape[1])])
     evals, vecs = np.linalg.eigh(G)
     keep = evals > 1e-12 * max(float(evals.max(initial=0.0)), 1e-300)
     if not keep.any():
         return 0.0
-    X = vecs[:, keep] / np.sqrt(evals[keep])
-    M = X.conj().T @ ((G * signs[None, :]) @ G) @ X
+    GX = G @ (vecs[:, keep] / np.sqrt(evals[keep]))
+    M = GX.conj().T @ (signs[:, None] * GX)  # X^H G S G X, G Hermitian
     return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
@@ -579,15 +595,16 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
             for bb in (b, b ^ full):
                 elems.append(CliffordElement(n, {bb: 1.0}))
                 labels.append(min(b.bit_count(), n - b.bit_count()))
-        c = 1.0 / (D**2 * n**l)
+        c = 1.0 / D**2
     else:
         P_plus, P_minus = projectors_pm(n)
         P = P_plus if eff == "plus" else P_minus
         elems = [P * CliffordElement(n, {b: 1.0}) for b in reps]
         labels = [b.bit_count() for b in reps]
-        c = 2.0 * 2.0 / (D**2 * n**l)  # factor 2: each class has two members
-    G = gram_matrix(n, l, elems)
-    keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * max(1.0, np.sqrt(np.abs(G).max()))
+        c = 2.0 * 2.0 / D**2  # factor 2: each class has two members
+    # the frame weight c carries no 1/n^l: the scaled Gram has taken it in
+    G = _scaled_gram(n, l, elems)
+    keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * np.sqrt(np.abs(G).max())
     scale = np.abs(G).max() if G.size else 1.0
     out = []
     for grade in sorted(set(labels)):

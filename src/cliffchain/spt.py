@@ -4,6 +4,16 @@ The half-integer index of a tensor family is read off from commutators of
 bond symmetries extracted via the mixed transfer operator.  Antilinear maps
 are always handled as (entrywise conjugation) followed by a unitary, and the
 density-matrix checks run on Gram frames so no state vector is ever built.
+
+Rotations act on those frames through one lemma.  If Pi is the rotor of
+w in SO(n), Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, then for every monomial
+
+    Pi gamma_I Pi^-1 = sum_{|J| = |I|} det(w[J, I]) gamma_J,
+
+so conjugation keeps each grade k and acts there by the k-th compound
+matrix C_k(w).  rotor_action builds that map; the rotor itself (spin_lift)
+is still formed once per rotation, to certify the lift by its adjoint
+identity.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from .clifford import (
     transpose_antiauto,
 )
 from .mps import (
+    _columns,
+    _grades,
     frame_operator_distance,
     rdm_eigen_by_grade,
     rdm_frame,
@@ -40,6 +52,15 @@ FAILED = "FAILED"
 # ---------------------------------------------------------------------------
 # rotations and their Clifford lifts
 # ---------------------------------------------------------------------------
+
+
+def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random element of SO(n): sign-fixed QR, columns 1 and 2 swapped if det < 0."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, [0, 1]] = Q[:, [1, 0]]
+    return Q
 
 
 def rotation_matrix(n: int, theta: float, i: int, j: int) -> np.ndarray:
@@ -74,13 +95,18 @@ def rotate_generator(n: int, w: np.ndarray, i: int) -> CliffordElement:
     return out
 
 
-def _givens_factors(w: np.ndarray) -> list[tuple[float, int, int]]:
-    """Factor w in SO(n) as a left-to-right product of plane rotations."""
+def _require_special_orthogonal(w: np.ndarray) -> None:
     n = w.shape[0]
     if np.max(np.abs(w.T @ w - np.eye(n))) > 1e-10:
         raise ValueError("matrix is not orthogonal")
     if np.linalg.det(w) < 0:
         raise ValueError("determinant -1 rotations have no rotor lift here")
+
+
+def _givens_factors(w: np.ndarray) -> list[tuple[float, int, int]]:
+    """Factor w in SO(n) as a left-to-right product of plane rotations."""
+    _require_special_orthogonal(w)
+    n = w.shape[0]
     A = np.array(w, dtype=float)
     facs = []
     for col in range(n - 1):
@@ -114,6 +140,39 @@ def spin_lift(n: int, w: np.ndarray) -> tuple[CliffordElement, CliffordElement]:
         if dist(image, rotate_generator(n, w, i)) > 1e-10:
             raise AssertionError(f"rotor lift failed the adjoint identity at axis {i}")
     return Pi, Pi_inv
+
+
+def rotor_action(n: int, w: np.ndarray) -> np.ndarray:
+    """Matrix of B -> Pi B Pi^-1 on monomial coefficients, Pi the rotor of w.
+
+    Compound-matrix lemma: Pi gamma_I Pi^-1 is the Clifford product of the
+    rotated generators sum_j w_ji gamma_j over i in I, ascending.  The
+    columns of w are orthonormal, so every contraction between two factors
+    vanishes and only the wedge product survives, whose coefficients are
+    the k x k minors (Cauchy-Binet):
+
+        Pi gamma_I Pi^-1 = sum_{|J| = |I|} det(w[J, I]) gamma_J.
+
+    The map keeps each grade k and acts there by the k-th compound matrix
+    C_k(w).  Entry (J, I) of the returned real 2^n x 2^n matrix, indexed by
+    bitmask, is det(w[J, I]); one batched determinant per grade builds it,
+    with no Clifford product.  Raises ValueError unless w is in SO(n).
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n, n):
+        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
+    _require_special_orthogonal(w)
+    masks = np.arange(1 << n)
+    grades = _grades(n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    R = np.zeros((1 << n, 1 << n))
+    R[0, 0] = 1.0
+    for k in range(1, n + 1):
+        sel = masks[grades == k]
+        idx = np.nonzero(bits[sel])[1].reshape(len(sel), k)  # ascending axes
+        minors = w[idx[:, None, :, None], idx[None, :, None, :]]
+        R[np.ix_(sel, sel)] = np.linalg.det(minors)
+    return R
 
 
 @dataclass(frozen=True)
@@ -381,10 +440,10 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
         raise AssertionError(f"theta does not flip the spin, residual {flip:.3e}")
     det = float(np.linalg.det(th))
 
-    Pi, Pi_inv = spin_lift(n, th)
+    spin_lift(n, th)  # certifies the rotor of theta by its adjoint identity
     elems_p, _ = rdm_frame(n, l, "plus")
-    tr_elems = [Pi * B.bar() * Pi_inv for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, tr_elems)
+    image = rotor_action(n, th) @ _columns(elems_p).conj()
+    verdict, r_fix, r_swap = _frame_verdict(n, l, image)
     verdict = INVARIANT if verdict == FIXES else verdict
     return verdict, {
         "time_reversal_fix": r_fix,
@@ -423,16 +482,11 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
 
     r_rot = 0.0
     for _ in range(rotations):
-        A = rng.standard_normal((n, n))
-        Q, R = np.linalg.qr(A)
-        Q = Q * np.sign(np.diag(R))
-        if np.linalg.det(Q) < 0:
-            Q[:, [0, 1]] = Q[:, [1, 0]]
-        Pi, Pi_inv = spin_lift(n, Q)
-        for b in boundaries:
-            elems, c = frames[b]
-            image = [Pi * B * Pi_inv for B in elems]
-            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, elems, c))
+        Q = _random_rotation(rng, n)
+        spin_lift(n, Q)  # certifies the rotor of Q by its adjoint identity
+        R = rotor_action(n, Q)
+        for elems, c in frames.values():
+            r_rot = max(r_rot, frame_operator_distance(n, l, R @ _columns(elems), c, elems, c))
 
     src = boundaries[0]
     dst = boundaries[-1]  # partner state for even n, the same state for odd

@@ -227,3 +227,17 @@ def test_realize_star_is_adjoint():
         rep = matrix_rep(n)
         B = rand_element(rng, n)
         assert np.abs(realize(B.star(), rep) - realize(B, rep).conj().T).max() < 1e-11
+
+
+def test_monomial_images_equal_ascending_products_and_are_read_only():
+    for n in range(2, 9):
+        rep = matrix_rep(n)
+        for bits in range(1 << n):
+            want = np.eye(rep.dim, dtype=complex)
+            for i in range(n):
+                if bits >> i & 1:
+                    want = want @ rep.gammas[i]
+            img = rep.monomial(bits)
+            assert np.array_equal(img, want)
+            assert not img.flags.writeable
+            assert rep.monomial(bits) is img  # kept per realization

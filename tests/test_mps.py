@@ -333,7 +333,11 @@ def test_grade_weights_match_dense_kernel_oracle():
             Z = _dense_overlap_kernel_oracle(n, l)
             diag = np.diag(Z)
             assert np.count_nonzero(Z - np.diag(diag)) == 0
-            assert np.array_equal(diag, _grade_weights(n, l)[grades].astype(complex))
+            assert np.count_nonzero(diag.imag) == 0
+            # the weights are z_l / n^l; the oracle counts z_l exactly
+            w = _grade_weights(n, l)[grades] * float(n) ** l
+            assert np.array_equal(w == 0, diag == 0)
+            assert np.allclose(w, diag.real, rtol=1e-14, atol=0)
 
 
 def test_gram_matches_brute_overlaps():
@@ -472,6 +476,40 @@ def test_rdm_eigen_by_grade_past_dense_kernel_range():
             assert layout == [(grade, _expected_grade_mult(n, grade)) for grade in _expected_grades(n, l)]
         assert [(grade, m) for grade, _, m in plus] == [(grade, m) for grade, _, m in minus]
         assert max(abs(a - b) for (_, a, _), (_, b, _) in zip(plus, minus)) < 1e-10
+
+
+def test_rdm_eigen_by_grade_has_no_length_limit():
+    # n^l left the float range here before the weights were scaled by 1/n
+    for l in (600, 601):
+        for boundary in ("plus", "minus", "omega"):
+            out = rdm_eigen_by_grade(4, l, boundary)
+            assert abs(sum(mu * m for _, mu, m in out) - 1.0) < 1e-10
+
+
+def test_rdm_eigen_by_grade_n10_values_unchanged_by_scaling():
+    # recorded with the unscaled weights and the 1/n^l frame weight
+    want = {
+        8: [(0, 0.0068608, 1), (2, 0.00475904, 45), (4, 0.00370944, 210)],
+        12: [(0, 0.00428889088, 1), (2, 0.004016789504, 45), (4, 0.003880740864, 210)],
+    }
+    for l, rows in want.items():
+        for boundary in ("plus", "minus"):
+            got = rdm_eigen_by_grade(10, l, boundary)
+            assert [(g, m) for g, _, m in got] == [(g, m) for g, _, m in rows]
+            assert max(abs(a - b) for (_, a, _), (_, b, _) in zip(got, rows)) < 1e-12
+
+
+def test_gram_and_frame_distance_accept_coefficient_columns():
+    rng = np.random.default_rng(19)
+    n, l = 4, 3
+    elems = [rand_element(rng, n) for _ in range(5)]
+    cols = np.stack([coefvec(B) for B in elems], axis=1)
+    assert np.array_equal(gram_matrix(n, l, cols), gram_matrix(n, l, elems))
+    ea, ca = rdm_frame(n, l, "plus")
+    eb, cb = rdm_frame(n, l, "minus")
+    cols_b = np.stack([coefvec(B) for B in eb], axis=1)
+    want = frame_operator_distance(n, l, ea, ca, eb, cb)
+    assert frame_operator_distance(n, l, ea, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
 
 
 # --- structure of the family ----------------------------------------------

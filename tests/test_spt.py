@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 from cliffchain.clifford import CliffordElement, dist, matrix_rep, realize
-from cliffchain.mps import MpsFamily, element_from_coefvec, mps_vector
+from cliffchain.mps import (
+    MpsFamily,
+    coefvec,
+    element_from_coefvec,
+    frame_operator_distance,
+    mps_vector,
+    rdm_frame,
+)
 from cliffchain.spt import (
+    FIXES,
+    INVARIANT,
+    VERDICT_TOL,
     BondSymmetry,
     CptReport,
     _flip_first_axis,
+    _frame_verdict,
+    _random_rotation,
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
@@ -22,6 +34,7 @@ from cliffchain.spt import (
     rotate_generator,
     rotation_matrix,
     rotation_pair,
+    rotor_action,
     spin_lift,
     spin_rep_element,
     theta_matrix,
@@ -37,6 +50,16 @@ def rand_so(rng, n):
     if np.linalg.det(Q) < 0:
         Q[:, [0, 1]] = Q[:, [1, 0]]
     return Q
+
+
+def _rotor_image_oracle(n, w, elems):
+    """Oracle: Pi B Pi^-1 for each element, by Clifford products.
+
+    The checks took this route before rotor_action; it costs O(4^n) sign
+    merges per element and is kept only to cross-check the compound matrices.
+    """
+    Pi, Pi_inv = spin_lift(n, w)
+    return [Pi * B * Pi_inv for B in elems]
 
 
 def test_rotation_pair_invariants():
@@ -267,3 +290,74 @@ def test_on_site_breaking_check_odd_n_and_short_block():
     assert rep.passed, rep.summary()
     rep = on_site_breaking_check(6, 2, rotations=2)
     assert rep.passed, rep.summary()
+
+
+# --- rotors as compound matrices -------------------------------------------
+
+
+def test_rotor_action_matches_clifford_conjugation():
+    rng = np.random.default_rng(47)
+    for n in range(2, 8):
+        for _ in range(2):
+            w = rand_so(rng, n)
+            R = rotor_action(n, w)
+            monomials = [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
+            images = _rotor_image_oracle(n, w, monomials)
+            want = np.stack([coefvec(B) for B in images], axis=1)
+            assert np.abs(R - want).max() < 1e-12
+
+
+def test_rotor_action_is_grade_blocked_orthogonal_and_multiplicative():
+    rng = np.random.default_rng(53)
+    for n in range(2, 9):
+        w1, w2 = rand_so(rng, n), rand_so(rng, n)
+        R1, R2 = rotor_action(n, w1), rotor_action(n, w2)
+        grades = np.array([b.bit_count() for b in range(1 << n)])
+        off_block = grades[:, None] != grades[None, :]
+        assert np.count_nonzero(R1[off_block]) == 0
+        assert np.abs(R1.T @ R1 - np.eye(1 << n)).max() < 1e-12
+        assert np.abs(rotor_action(n, w1 @ w2) - R1 @ R2).max() < 1e-12
+        assert np.abs(rotor_action(n, np.eye(n)) - np.eye(1 << n)).max() == 0.0
+
+
+def test_rotor_action_rejects_matrices_outside_so_n():
+    with pytest.raises(ValueError):
+        rotor_action(3, np.diag([-1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        rotor_action(3, np.eye(3) * 2.0)
+    with pytest.raises(ValueError):
+        rotor_action(4, np.eye(3))
+
+
+@pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (6, 6)))
+def test_frame_checks_match_the_clifford_product_oracle(n, l):
+    rotations, seed = 2, 3
+    rep = on_site_breaking_check(n, l, rotations=rotations, seed=seed)
+    assert rep.passed, rep.summary()
+    rng = np.random.default_rng(seed)
+    r_rot = 0.0
+    frames = {b: rdm_frame(n, l, b) for b in ("plus", "minus")}
+    for _ in range(rotations):
+        Q = _random_rotation(rng, n)
+        R = rotor_action(n, Q)
+        for elems, c in frames.values():
+            image = _rotor_image_oracle(n, Q, elems)
+            cols = np.stack([coefvec(B) for B in elems], axis=1)
+            assert np.abs(R @ cols - np.stack([coefvec(B) for B in image], axis=1)).max() < 1e-12
+            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, elems, c))
+    assert abs(rep.numbers["rotation_residual"] - r_rot) < 1e-12
+
+    verdict, res = time_reversal_check(n, l)
+    elems_p, _ = rdm_frame(n, l, "plus")
+    image = _rotor_image_oracle(n, theta_matrix(n), [B.bar() for B in elems_p])
+    want, r_fix, r_swap = _frame_verdict(n, l, image)
+    assert verdict == (INVARIANT if want == FIXES else want)
+    assert abs(res["time_reversal_fix"] - r_fix) < 1e-12
+    assert abs(res["time_reversal_swap"] - r_swap) < 1e-12
+
+
+def test_on_site_breaking_check_n8():
+    rep = on_site_breaking_check(8, 4, rotations=1)
+    assert rep.passed, rep.summary()
+    for key in ("rotation_residual", "flip_residual", "spectrum_deviation"):
+        assert rep.numbers[key] < VERDICT_TOL
