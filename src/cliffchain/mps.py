@@ -8,10 +8,14 @@ matrices.  Expectation values use the transfer maps
     F1_A     = alpha o E_{RAR},   F2_A = alpha o E_A   (on P_+ C_n^even)
 
 acting on coefficient vectors over the 2^n monomial basis.  Reduced density
-matrices are assembled from the frame {psi(P gamma_K)}; for lengths past the
-dense cap everything runs through Gram matrices of bond elements.  Their
-overlap kernel is diagonal in the monomial basis with entries that depend
-only on the grade, so it is a length-(n+1) vector built by a recurrence in l.
+matrices are assembled from the frame {psi(P gamma_K)}; past the dense cap
+they are handled through the overlaps of bond elements.  The overlap kernel
+is diagonal in the monomial basis with entries that depend only on the
+grade, a length-(n+1) vector built by a recurrence in l.  Two consequences
+replace dense linear algebra: frames split into blocks of disjoint monomial
+support, which give orthogonal states (frame_operator_distance,
+frame_product_trace), and the marginal spectrum has a closed form per grade
+(rdm_eigen_by_grade).
 """
 
 from __future__ import annotations
@@ -439,17 +443,22 @@ def _grade_weights(n: int, l: int) -> np.ndarray:
     return z
 
 
+def _grade_kernel(n: int, l: int) -> np.ndarray:
+    """Scaled overlap kernel by grade: _grade_weights(n, l)[k] * reversal_sign(k).
+
+    Every entry is >= 0: the sign change s(k+1) = (-1)^k s(k), which is
+    reversal_sign, makes every coefficient of the _grade_weights recurrence
+    nonnegative, so the sign of each weight is exact and no entry rounds
+    below zero.  Index the result with _grades(n) to get the kernel over
+    monomials.
+    """
+    sq = np.array([reversal_sign(k) for k in range(n + 1)], dtype=float)
+    return _grade_weights(n, l) * sq
+
+
 def _columns(elems) -> np.ndarray:
     """Coefficient columns of a frame: an element list, or a (2^n, m) array as is."""
     return elems if isinstance(elems, np.ndarray) else np.stack([coefvec(B) for B in elems], axis=1)
-
-
-def _scaled_gram(n: int, l: int, elems) -> np.ndarray:
-    """Gram matrix of the state overlaps divided by n^l (see gram_matrix)."""
-    Bmat = _columns(elems)
-    diag = _grade_weights(n, l)[_grades(n)] * _sq_signs(n)
-    G = (realized_dim(n) ** 2) * (Bmat.conj().T @ (diag[:, None] * Bmat))
-    return 0.5 * (G + G.conj().T)
 
 
 def gram_matrix(n: int, l: int, elems) -> np.ndarray:
@@ -463,7 +472,55 @@ def gram_matrix(n: int, l: int, elems) -> np.ndarray:
 
     where the columns of Bmat are the coefficient vectors of elems.
     """
-    return n**l * _scaled_gram(n, l, elems)
+    Bmat = _columns(elems)
+    kern = _grade_kernel(n, l)[_grades(n)]
+    G = n**l * (realized_dim(n) ** 2) * (Bmat.conj().T @ (kern[:, None] * Bmat))
+    return 0.5 * (G + G.conj().T)
+
+
+def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Gram of a frame over n^l, split into its support-connected blocks.
+
+    Direct-sum lemma: the overlap kernel is diagonal on monomials, so two
+    columns whose supports on the monomials of nonzero kernel weight are
+    disjoint give orthogonal states.  Join each column to every such
+    monomial where it is nonzero (an exact != 0 test, no tolerance); the
+    connected components of that graph split the Gram, and every operator
+    sum_j s_j |psi_j><psi_j| on the frame, into a direct sum of blocks.
+
+    Returns (idx, G) pairs: idx is a (count, size) array of column indices
+    and G the (count, size, size) stack of their Grams, built from each
+    block's support rows only.  Blocks with the same number of columns and
+    of support rows share one stack.  A column with no weighted support is
+    the zero state and lies in no block.
+    """
+    # imported here so that importing cliffchain does not load csgraph
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    dim, m = cols.shape
+    kern = _grade_kernel(n, l)[_grades(n)]
+    rows, cs = np.nonzero((cols != 0) & (kern != 0)[:, None])
+    graph = coo_matrix((np.ones(rows.size), (cs, m + rows)), shape=(m + dim, m + dim))
+    count, labels = connected_components(graph, directed=False)
+    live_cols, live_rows = np.unique(cs), np.unique(rows)
+    col_lab, row_lab = labels[live_cols], labels[m + live_rows]
+    ncol = np.bincount(col_lab, minlength=count)
+    nrow = np.bincount(row_lab, minlength=count)
+    col_order = live_cols[np.argsort(col_lab, kind="stable")]
+    row_order = live_rows[np.argsort(row_lab, kind="stable")]
+    col_start, row_start = np.cumsum(ncol) - ncol, np.cumsum(nrow) - nrow
+    D2 = realized_dim(n) ** 2
+    blocks = []
+    for size, height in sorted(set(zip(ncol[ncol > 0].tolist(), nrow[ncol > 0].tolist()))):
+        labs = np.flatnonzero((ncol == size) & (nrow == height))
+        idx = col_order[col_start[labs][:, None] + np.arange(size)]
+        ridx = row_order[row_start[labs][:, None] + np.arange(height)]
+        X = cols[ridx[:, :, None], idx[:, None, :]]
+        XH = X.conj().transpose(0, 2, 1)
+        G = D2 * (XH @ (kern[ridx][:, :, None] * X))
+        blocks.append((idx, 0.5 * (G + G.conj().transpose(0, 2, 1))))
+    return blocks
 
 
 def frame_operator_distance(
@@ -474,20 +531,32 @@ def frame_operator_distance(
     elems_b,
     coef_b: float,
 ) -> float:
-    """Spectral norm of sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|.
+    """Spectral norm of n^-l (sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|).
 
-    Each frame is a list of elements or a (2^n, m) array of coefficient columns.
+    Each frame is a list of elements or a (2^n, m) array of coefficient
+    columns; the weights are taken relative to n^l, as rdm_frame returns
+    them.  By the direct-sum lemma of _gram_blocks the norm is the largest
+    over the support-connected blocks of the joint frame.  In a block with
+    Gram G = V diag(lam) V^H and weights S, the nonzero spectrum of the
+    operator is that of (V lam^1/2)^H S (V lam^1/2).  Eigenvalues of G at or
+    below 1e-12 times the largest over all blocks are dropped as rank
+    deficiency.  The CPT images (bar, transpose_antiauto, the axis flip and
+    the rotor of theta) keep every complement class {K, K^c}, so their
+    blocks have at most four columns; SO(n) rotors keep grade pairs {k, n-k}.
     """
     cols_a, cols_b = _columns(elems_a), _columns(elems_b)
-    G = gram_matrix(n, l, np.concatenate([cols_a, cols_b], axis=1))
-    signs = np.concatenate([coef_a * np.ones(cols_a.shape[1]), -coef_b * np.ones(cols_b.shape[1])])
-    evals, vecs = np.linalg.eigh(G)
-    keep = evals > 1e-12 * max(float(evals.max(initial=0.0)), 1e-300)
-    if not keep.any():
-        return 0.0
-    GX = G @ (vecs[:, keep] / np.sqrt(evals[keep]))
-    M = GX.conj().T @ (signs[:, None] * GX)  # X^H G S G X, G Hermitian
-    return float(np.abs(np.linalg.eigvalsh(M)).max())
+    signs = np.concatenate([np.full(cols_a.shape[1], float(coef_a)),
+                            np.full(cols_b.shape[1], -float(coef_b))])
+    blocks = _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1))
+    spectra = [np.linalg.eigh(G) for _, G in blocks]
+    top = max((float(evals.max()) for evals, _ in spectra), default=0.0)
+    cut = 1e-12 * max(top, 1e-300)
+    worst = 0.0
+    for (idx, _), (evals, vecs) in zip(blocks, spectra):
+        Y = vecs * np.sqrt(np.where(evals > cut, evals, 0.0))[:, None, :]
+        M = Y.conj().transpose(0, 2, 1) @ (signs[idx][:, :, None] * Y)
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(M)).max()))
+    return worst
 
 
 def frame_product_trace(
@@ -498,11 +567,20 @@ def frame_product_trace(
     elems_b,
     coef_b: float,
 ) -> float:
-    """Tr(rho_a rho_b) for two frame-represented positive operators."""
-    elems = list(elems_a) + list(elems_b)
-    G = gram_matrix(n, l, elems)
-    cross = G[: len(elems_a), len(elems_a):]
-    return float(coef_a * coef_b * (np.abs(cross) ** 2).sum().real)
+    """Tr(rho_a rho_b) for rho = n^-l sum c |psi(x)><psi(x)| over each frame.
+
+    Frames and weights as in frame_operator_distance; only pairs within one
+    support-connected block overlap, so the cross terms are summed block by
+    block.
+    """
+    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
+    m_a = cols_a.shape[1]
+    total = 0.0
+    for idx, G in _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1)):
+        in_a = idx < m_a
+        cross = in_a[:, :, None] & ~in_a[:, None, :]
+        total += float((np.abs(G) ** 2)[cross].sum())
+    return float(coef_a * coef_b * total)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +606,22 @@ def _effective_sign(boundary: str, n: int, l: int) -> str:
 
 
 def rdm_frame(n: int, l: int, boundary: str) -> tuple[list[CliffordElement], float]:
-    """Bond elements X_K and weight c with rho = c sum_K |psi(X_K)><psi(X_K)|."""
+    """Bond elements X_K and weight c with rho = (c / n^l) sum_K |psi(X_K)><psi(X_K)|.
+
+    c is carried relative to n^l, the convention of the frame routines, so
+    no length overflows it.
+    """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}")
     D = realized_dim(n)
     eff = _effective_sign(boundary, n, l)
     if eff == "omega":
         elems = [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-        return elems, 1.0 / (D**2 * n**l)
+        return elems, 1.0 / D**2
     P_plus, P_minus = projectors_pm(n)
     P = P_plus if eff == "plus" else P_minus
     elems = [P * CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-    return elems, 2.0 / (D**2 * n**l)
+    return elems, 2.0 / D**2
 
 
 def reduced_density_matrix(
@@ -550,7 +632,7 @@ def reduced_density_matrix(
         raise ValueError(f"dense marginal dimension n^l = {n**l} exceeds cap {cap}")
     elems, c = rdm_frame(n, l, boundary)
     Psi = np.stack([_psi(n, l, B) for B in elems], axis=1)
-    rho = c * (Psi @ Psi.conj().T)
+    rho = (c / n**l) * (Psi @ Psi.conj().T)
     return DensityMatrix(0.5 * (rho + rho.conj().T), n, l, boundary)
 
 
@@ -564,64 +646,38 @@ def rdm_entry_oracle(n: int, l: int, boundary: str, row, col) -> complex:
     return fcs_expectation(n, ops, boundary)
 
 
-def _class_reps(n: int) -> list[int]:
-    """One monomial per {K, complement(K)} class: lower grade wins, ties keep
-    the subset containing generator 1."""
-    full = (1 << n) - 1
-    reps = []
-    for b in range(1 << n):
-        bc = b ^ full
-        k, kc = b.bit_count(), bc.bit_count()
-        if k < kc or (k == kc and b & 1):
-            reps.append(b)
-    return reps
-
-
 def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int, float, int]]:
-    """Nonzero marginal spectrum labeled by monomial grade, via Gram matrices.
+    """Nonzero marginal spectrum labeled by monomial grade, in closed form.
 
-    Returns (grade, eigenvalue, multiplicity) triples.  Raises if the Gram
-    matrix mixes grades, which would make the labels meaningless.
+    Returns (grade, eigenvalue, multiplicity) triples, grades ascending.
+    Closed-form lemma: with kappa(k) = _grade_kernel(n, l)[k] >= 0, the
+    overlap kernel over n^l at grade k, the frame of rdm_frame is
+    orthogonal across complement classes {K, K^c} (direct-sum lemma of
+    _gram_blocks).  For the pure states P_+- gamma_K has coefficients of
+    modulus 1/2 on K and on K^c, and P gamma_K, P gamma_{K^c} are parallel,
+    so each class of min grade k is one eigenvector with
+
+        mu = kappa(k) + kappa(n - k),
+
+    multiplicity C(n, k), or C(n, n/2) / 2 at k = n/2; the sign of the
+    boundary does not enter.  For omega each monomial gamma_K is its own
+    eigenvector with mu = kappa(|K|), labeled by min(|K|, n - |K|); the two
+    values under one label merge when they agree to 1e-10, as clustered
+    eigenvalues of the Gram would.  O(n l); no frame, Gram or eigh.
+    Raises if the spectrum does not sum to 1.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}")
-    D = realized_dim(n)
-    eff = _effective_sign(boundary, n, l)
-    reps = _class_reps(n)
-    if eff == "omega":
-        full = (1 << n) - 1
-        elems, labels = [], []
-        for b in reps:
-            for bb in (b, b ^ full):
-                elems.append(CliffordElement(n, {bb: 1.0}))
-                labels.append(min(b.bit_count(), n - b.bit_count()))
-        c = 1.0 / D**2
-    else:
-        P_plus, P_minus = projectors_pm(n)
-        P = P_plus if eff == "plus" else P_minus
-        elems = [P * CliffordElement(n, {b: 1.0}) for b in reps]
-        labels = [b.bit_count() for b in reps]
-        c = 2.0 * 2.0 / D**2  # factor 2: each class has two members
-    # the frame weight c carries no 1/n^l: the scaled Gram has taken it in
-    G = _scaled_gram(n, l, elems)
-    keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * np.sqrt(np.abs(G).max())
-    scale = np.abs(G).max() if G.size else 1.0
+    kappa = _grade_kernel(n, l)
     out = []
-    for grade in sorted(set(labels)):
-        sel = np.array([lab == grade and keep[a] for a, lab in enumerate(labels)])
-        if not sel.any():
-            continue
-        other = np.array([lab != grade for lab in labels])
-        cross = G[np.ix_(sel, other)]
-        if cross.size and np.abs(cross).max() > 1e-9 * scale:
-            raise ValueError(f"grade {grade} block is not orthogonal to the rest")
-        mus = np.linalg.eigvalsh(c * G[np.ix_(sel, sel)])
-        for mu, mult in cluster_degeneracies(mus, tol=1e-10)[::-1]:
-            if mu < 1e-12:
-                continue
-            if not 0.0 < mu <= 1.0 + 1e-9:
-                raise ValueError(f"marginal eigenvalue {mu} outside (0, 1]")
-            out.append((grade, mu, mult))
+    for grade in range(n // 2 + 1):
+        if boundary == "omega":
+            vals = [kappa[k] for k in {grade, n - grade} if kappa[k] > 0.0]
+            for mu, count in cluster_degeneracies(vals, tol=1e-10)[::-1]:
+                out.append((grade, mu, count * math.comb(n, grade)))
+        elif kappa[grade] + kappa[n - grade] > 0.0:
+            classes = math.comb(n, grade) // (2 if 2 * grade == n else 1)
+            out.append((grade, float(kappa[grade] + kappa[n - grade]), classes))
     total = sum(mu * m for _, mu, m in out)
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"marginal spectrum sums to {total}, expected 1")

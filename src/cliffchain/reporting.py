@@ -74,9 +74,7 @@ DEFAULT_N_LIST = (3, 4, 5, 6)
 DEFAULT_CAP_DENSE = 2048
 DEFAULT_CAP_SPARSE = 16_000
 
-# grid guards for the heavier batteries
-RDM_MAX_N = 8
-RDM_MAX_L = 16
+# grid guard for the heavier batteries
 PIERI_MAX_N = 6
 SELFTEST_SAMPLES = 500
 CORRELATOR_RANGE = range(2, 13)
@@ -338,8 +336,6 @@ def _rdm_grid(config: CampaignConfig) -> list:
     return [(n, l) for n in config.n_list for l in config.l_list or (2, 3, 4, 6, 8)]
 
 
-def _rdm_cap(ctx, n, l):
-    return _cap_exceeded(n > RDM_MAX_N or l > RDM_MAX_L)
 def _expected_grade_mult(n: int, grade: int) -> int:
     if 2 * grade == n:
         return comb(n, grade) // 2
@@ -492,29 +488,41 @@ def _even_n_even_l(ctx, n, l):
     return "not-applicable-odd-length" if l % 2 == 1 else True
 
 
-def _pair_row(ctx, n, result):
+def _verdict_margins(verdict, r_fix, r_swap) -> dict:
+    """The residual of the side the verdict chose and of the side it rejected.
+
+    FAILED chose neither side; its matched residual is the smaller one.
+    """
+    if verdict == SWAPS:
+        matched, unmatched = r_swap, r_fix
+    elif verdict in (FIXES, INVARIANT):
+        matched, unmatched = r_fix, r_swap
+    else:
+        matched, unmatched = min(r_fix, r_swap), max(r_fix, r_swap)
+    return {"matched_residual": matched, "unmatched_residual": unmatched}
+
+
+def _pair_row(ctx, result, expected, key):
     verdict, res = result
-    expected_pair = FIXES if n % 4 == 0 else SWAPS
-    matched = min(res.values())
-    ok = verdict == expected_pair and matched < ctx.config.tol_match
-    numbers = dict(res, matched_residual=matched)
-    return ok, numbers, f"verdict {verdict}, expected {expected_pair}"
+    margins = _verdict_margins(verdict, res[f"{key}_fix"], res[f"{key}_swap"])
+    ok = verdict == expected and margins["matched_residual"] < ctx.config.tol_match
+    return ok, {**res, **margins}, f"verdict {verdict}, expected {expected}"
+
+
+def _expected_pair(n):
+    return FIXES if n % 4 == 0 else SWAPS
 
 
 def _check_conjugation(ctx, n, l):
-    return _pair_row(ctx, n, conjugation_check(n, l))
+    return _pair_row(ctx, conjugation_check(n, l), _expected_pair(n), "conjugation")
 
 
 def _check_reflection(ctx, n, l):
-    return _pair_row(ctx, n, reflection_check(n, l))
+    return _pair_row(ctx, reflection_check(n, l), _expected_pair(n), "reflection")
 
 
 def _check_time_reversal(ctx, n, l):
-    verdict, res = time_reversal_check(n, l)
-    matched = min(res["time_reversal_fix"], res["time_reversal_swap"])
-    ok = verdict == INVARIANT and matched < ctx.config.tol_match
-    notes = f"verdict {verdict}, expected {INVARIANT}"
-    return ok, dict(res, matched_residual=matched), notes
+    return _pair_row(ctx, time_reversal_check(n, l), INVARIANT, "time_reversal")
 
 
 def _check_on_site_breaking(ctx, n, l):
@@ -662,11 +670,9 @@ _CHECKS = tuple(_Check(*entry) for entry in (
      lambda ctx, n, l: ctx.shared(_channel, n) == 0.0, _check_correlators_vanish),
     ("transfer", "decay-slope", _each_n,
      lambda ctx, n, l: 0.0 < ctx.shared(_channel, n) < 1.0 - 1e-9, _check_decay_slope),
-    ("rdm", "marginal-spectrum", _rdm_grid, _rdm_cap, _check_marginal_spectrum, _mu_rows),
-    ("rdm", "grade-multiplicities", _rdm_grid, lambda ctx, n, l: _rdm_cap(ctx, n, l) is True,
-     _check_grade_multiplicities),
-    ("rdm", "pure-state-pair", _rdm_grid,
-     lambda ctx, n, l: n % 2 == 0 and _rdm_cap(ctx, n, l) is True, _check_pure_state_pair),
+    ("rdm", "marginal-spectrum", _rdm_grid, None, _check_marginal_spectrum, _mu_rows),
+    ("rdm", "grade-multiplicities", _rdm_grid, None, _check_grade_multiplicities),
+    ("rdm", "pure-state-pair", _rdm_grid, _even_n, _check_pure_state_pair),
     ("parent", "dimer-kernel-dims", _at((2, None)), None, _check_dimer_kernel_dims),
     ("parent", "spin1-kernel-dim", _at((3, None)), None, _check_spin1_kernel_dim),
     ("parent", "parent-kernel", _parent_grid, _sparse_cap, _check_parent_kernel),

@@ -4,6 +4,11 @@ The half-integer index of a tensor family is read off from commutators of
 bond symmetries extracted via the mixed transfer operator.  Antilinear maps
 are always handled as (entrywise conjugation) followed by a unitary, and the
 density-matrix checks run on Gram frames so no state vector is ever built.
+Each frame distance is the largest over the support-connected blocks of the
+frame (mps.frame_operator_distance): bar, transpose_antiauto, the axis flip
+and the rotor of theta keep every complement class {K, K^c}, so those
+blocks have at most four columns, and SO(n) rotors keep grade pairs
+{k, n-k}.  The marginal spectra are the closed form mps.rdm_eigen_by_grade.
 
 Rotations act on those frames through one lemma.  If Pi is the rotor of
 w in SO(n), Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, then for every monomial

@@ -18,8 +18,12 @@ from cliffchain.clifford import (
     transpose_antiauto,
 )
 from cliffchain.mps import (
+    BOUNDARIES,
     MpsFamily,
+    _columns,
+    _effective_sign,
     _grade_weights,
+    _gram_blocks,
     _grades,
     _sign_left,
     _sign_right,
@@ -43,7 +47,9 @@ from cliffchain.mps import (
     transfer_spectrum,
     two_point_correlation,
 )
+from cliffchain.checks import cluster_degeneracies
 from cliffchain.reporting import _expected_grade_mult, _expected_grades
+from cliffchain.spt import _flip_first_axis, _random_rotation, rotor_action, theta_matrix
 
 
 def g(n, *idx):
@@ -364,6 +370,80 @@ def test_frame_distance_and_product_match_dense():
     assert abs(got_tr - want_tr) < 1e-11
 
 
+def _scaled_gram_oracle(n, l, elems):
+    """The Gram of the states over n^l, from gram_matrix; small n^l only."""
+    return gram_matrix(n, l, elems) / float(n) ** l
+
+
+def _frame_operator_distance_oracle(n, l, elems_a, coef_a, elems_b, coef_b):
+    """Test oracle: frame_operator_distance by one eigh of the whole joint Gram.
+
+    The library took this dense route before the support blocks; it costs
+    O(m^3) in the joint frame size m and is kept only to cross-check them.
+    """
+    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
+    G = _scaled_gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
+    signs = np.concatenate([coef_a * np.ones(cols_a.shape[1]), -coef_b * np.ones(cols_b.shape[1])])
+    evals, vecs = np.linalg.eigh(G)
+    keep = evals > 1e-12 * max(float(evals.max(initial=0.0)), 1e-300)
+    if not keep.any():
+        return 0.0
+    GX = G @ (vecs[:, keep] / np.sqrt(evals[keep]))
+    M = GX.conj().T @ (signs[:, None] * GX)  # X^H G S G X, G Hermitian
+    return float(np.abs(np.linalg.eigvalsh(M)).max())
+
+
+def _cpt_images(n, l):
+    """Images of the plus frame under the CPT maps, the axis flip and a random rotor."""
+    elems, _ = rdm_frame(n, l, "plus")
+    cols = _columns(elems)
+    rng = np.random.default_rng(0)
+    return {
+        "bar": [B.bar() for B in elems],
+        "transpose": [transpose_antiauto(B) for B in elems],
+        "theta": rotor_action(n, theta_matrix(n)) @ cols.conj(),
+        "rotor": rotor_action(n, _random_rotation(rng, n)) @ cols,
+        "flip": [_flip_first_axis(B) for B in elems],
+    }
+
+
+@pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (6, 6), (8, 4)))
+def test_blocked_frame_distance_matches_dense_oracle(n, l):
+    frames = {b: rdm_frame(n, l, b) for b in ("plus", "minus")}
+    c = frames["plus"][1]
+    for name, image in _cpt_images(n, l).items():
+        for target, c_t in frames.values():
+            got = frame_operator_distance(n, l, image, c, target, c_t)
+            want = _frame_operator_distance_oracle(n, l, image, c, target, c_t)
+            assert abs(got - want) < 1e-12, (name, got, want)
+        if name != "rotor":  # the CPT images keep every complement class
+            joint = np.concatenate([_columns(image), _columns(frames["plus"][0])], axis=1)
+            assert max(idx.shape[1] for idx, _ in _gram_blocks(n, l, joint)) <= 4
+
+
+def test_blocked_frame_distance_on_one_dense_block():
+    rng = np.random.default_rng(23)
+    n, l = 6, 4
+    a = rng.standard_normal((1 << n, 5)) + 1j * rng.standard_normal((1 << n, 5))
+    b = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
+    blocks = _gram_blocks(n, l, np.concatenate([a, b], axis=1))
+    assert [idx.shape for idx, _ in blocks] == [(1, 9)]
+    got = frame_operator_distance(n, l, a, 0.7, b, 1.3)
+    want = _frame_operator_distance_oracle(n, l, a, 0.7, b, 1.3)
+    assert abs(got - want) < 1e-12 * max(1.0, want)
+
+
+def test_frame_product_trace_accepts_coefficient_columns():
+    for n, l in ((4, 4), (6, 3)):
+        ea, ca = rdm_frame(n, l, "plus")
+        eb, cb = rdm_frame(n, l, "minus")
+        cols_a, cols_b = _columns(ea), _columns(eb)
+        G = _scaled_gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
+        want = ca * cb * float((np.abs(G[: len(ea), len(ea):]) ** 2).sum())
+        assert frame_product_trace(n, l, cols_a, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
+        assert frame_product_trace(n, l, ea, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
+
+
 # --- reduced density matrices ----------------------------------------------
 
 
@@ -430,6 +510,73 @@ def test_rdm_omega_is_even_mixture():
     n, l = 4, 3
     mix = 0.5 * (dense_rho(n, l, "plus") + dense_rho(n, l, "minus"))
     assert np.abs(dense_rho(n, l, "omega") - mix).max() < 1e-13
+
+
+def _class_reps(n):
+    """One monomial per {K, complement(K)} class: lower grade wins, ties keep
+    the subset containing generator 1."""
+    full = (1 << n) - 1
+    reps = []
+    for b in range(1 << n):
+        bc = b ^ full
+        k, kc = b.bit_count(), bc.bit_count()
+        if k < kc or (k == kc and b & 1):
+            reps.append(b)
+    return reps
+
+
+def _rdm_eigen_by_grade_oracle(n, l, boundary):
+    """Test oracle: the marginal spectrum by grade from Gram blocks and eigh.
+
+    The library took this route before the closed form: the Gram of one
+    frame element per class (per monomial for omega), one eigh per grade
+    label, eigenvalues clustered to 1e-10.  It builds 2^(n-1) Clifford
+    products and is kept only to cross-check the closed form (n <= 10).
+    """
+    D = realized_dim(n)
+    eff = _effective_sign(boundary, n, l)
+    reps = _class_reps(n)
+    if eff == "omega":
+        full = (1 << n) - 1
+        elems, labels = [], []
+        for b in reps:
+            for bb in (b, b ^ full):
+                elems.append(CliffordElement(n, {bb: 1.0}))
+                labels.append(min(b.bit_count(), n - b.bit_count()))
+        c = 1.0 / D**2
+    else:
+        P_plus, P_minus = projectors_pm(n)
+        P = P_plus if eff == "plus" else P_minus
+        elems = [P * CliffordElement(n, {b: 1.0}) for b in reps]
+        labels = [b.bit_count() for b in reps]
+        c = 2.0 * 2.0 / D**2  # factor 2: each class has two members
+    G = _scaled_gram_oracle(n, l, elems)
+    keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * np.sqrt(np.abs(G).max())
+    scale = np.abs(G).max() if G.size else 1.0
+    out = []
+    for grade in sorted(set(labels)):
+        sel = np.array([lab == grade and keep[a] for a, lab in enumerate(labels)])
+        if not sel.any():
+            continue
+        other = np.array([lab != grade for lab in labels])
+        cross = G[np.ix_(sel, other)]
+        assert not cross.size or np.abs(cross).max() <= 1e-9 * scale
+        mus = np.linalg.eigvalsh(c * G[np.ix_(sel, sel)])
+        for mu, mult in cluster_degeneracies(mus, tol=1e-10)[::-1]:
+            if mu >= 1e-12:
+                out.append((grade, mu, mult))
+    return out
+
+
+def test_rdm_eigen_by_grade_matches_gram_oracle():
+    for n in range(2, 11):
+        for l in range(1, 13):
+            for boundary in BOUNDARIES:
+                got = rdm_eigen_by_grade(n, l, boundary)
+                want = _rdm_eigen_by_grade_oracle(n, l, boundary)
+                assert [(g, m) for g, _, m in got] == [(g, m) for g, _, m in want], (n, l, boundary)
+                dev = max(abs(a - b) for (_, a, _), (_, b, _) in zip(got, want))
+                assert dev < 1e-12, (n, l, boundary, dev)
 
 
 def test_rdm_eigen_by_grade_n4():

@@ -111,6 +111,25 @@ def test_cpt_campaign_skips_odd_n_and_flags_swapped_time_reversal():
     assert tr[0]["numbers"]["time_reversal_swap"] < 1e-9
     conj = [r for r in report["checks"] if r["n"] == 6 and r["name"] == "conjugation"]
     assert conj[0]["status"] == "pass"
+    # every pair row carries both margins: the side its verdict chose, the side it rejected
+    for row in tr + conj:
+        numbers = row["numbers"]
+        assert numbers["matched_residual"] < 1e-9 < numbers["unmatched_residual"]
+    assert tr[0]["numbers"]["matched_residual"] == tr[0]["numbers"]["time_reversal_swap"]
+    assert tr[0]["numbers"]["unmatched_residual"] == tr[0]["numbers"]["time_reversal_fix"]
+
+
+def test_rdm_campaign_runs_past_the_old_grid_guards():
+    # n = 12, 16 and l = 20, 41 were cap-exceeded skips while the spectra took
+    # a 2^(n-1) Gram; the closed form runs there in O(n l)
+    report = run_campaign(CampaignConfig("rdm", n_list=(12, 16), l_list=(20, 41)))
+    rows = {(r["n"], r["l"], r["name"]): r["status"] for r in report["checks"]}
+    names = ("marginal-spectrum", "grade-multiplicities", "pure-state-pair")
+    assert rows == {(n, l, name): "pass" for n in (12, 16) for l in (20, 41) for name in names}
+    for n in (12, 16):
+        for l in (20, 41):
+            grades = [g for nn, ll, g, _ in report["tables"]["mu_by_length"] if (nn, ll) == (n, l)]
+            assert grades == reporting._expected_grades(n, l)
 
 
 def test_emit_text_and_json_files(tmp_path):

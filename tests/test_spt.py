@@ -268,6 +268,25 @@ def test_time_reversal_check_by_n_mod_4():
     assert res["time_reversal_fix"] > 1e-6
 
 
+_CPT_CHECKS = ((conjugation_check, "conjugation"), (reflection_check, "reflection"),
+               (time_reversal_check, "time_reversal"))
+
+
+def test_cpt_checks_run_past_the_float_range_of_n_to_the_l():
+    # 4^600 is not a float; the frame weights are carried relative to n^l
+    for (check, key), l in zip(_CPT_CHECKS, (600, 600, 601)):
+        verdict, res = check(4, l)
+        assert verdict in (FIXES, INVARIANT)
+        assert res[f"{key}_fix"] < VERDICT_TOL < res[f"{key}_swap"]
+
+
+def test_cpt_checks_at_n10():
+    for check, key in _CPT_CHECKS:
+        verdict, res = check(10, 10)
+        assert verdict == "SWAPS"
+        assert res[f"{key}_swap"] < VERDICT_TOL < res[f"{key}_fix"]
+
+
 def test_cpt_report_verdicts_agree():
     for n, l in ((4, 4), (6, 4)):
         rep = cpt_report(n, l)
