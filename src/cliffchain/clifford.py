@@ -3,6 +3,11 @@
 Generators gamma_1..gamma_n obey  gamma_i gamma_j + gamma_j gamma_i = 2 delta_ij.
 Basis monomials gamma_I = gamma_{i_1}...gamma_{i_k} (i_1 < ... < i_k) are encoded
 as bitmasks, so products reduce to XOR plus a sign from counting transpositions.
+Every sign comes from one word: bit t of _suffix_parity(I) is the parity of
+the generators of I above t, and gamma_I gamma_J = (-1)^parity(word & J)
+gamma_{I xor J}.  Products, gamma_mul and the generator moves on coefficient
+vectors (_sign_left, _sign_right) all use it; realize does not, so the
+matrix realization stays an independent check.
 Elements are sparse complex combinations of monomials.  Everything here is pure
 and allocation-cheap; the matrix realization exists only as an independent
 cross-check and for code that genuinely needs operators on C^D.
@@ -66,19 +71,57 @@ class GammaIndex:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
 
+def _suffix_parity(bits):
+    """Word whose bit t is the parity of the generators of `bits` above t.
+
+    Bit t of (bits >> 1) folded with its 1, 2, 4 and 8 right shifts is the
+    parity of bits t+1..t+16, which covers every generator for n <= 16.  The
+    same expression serves Python ints and uint32 arrays.
+    """
+    x = bits >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    return x
+
+
 def _merge_sign(ibits: int, jbits: int) -> int:
     """Sign of gamma_I gamma_J = sign * gamma_{I xor J}.
 
-    Each generator j in J moves left past the generators of I above it;
-    repeated generators then cancel via gamma_j^2 = 1 with no extra sign.
+    Each generator j in J moves left past the generators of I above it, so
+    the sign is the parity of _suffix_parity(I) & J; repeated generators then
+    cancel via gamma_j^2 = 1 with no extra sign.
     """
-    s = 0
-    rest = jbits
-    while rest:
-        j = rest & -rest
-        s += (ibits >> j.bit_length()).bit_count()
-        rest ^= j
-    return -1 if s & 1 else 1
+    return -1 if (_suffix_parity(ibits) & jbits).bit_count() & 1 else 1
+
+
+def _parity_table() -> np.ndarray:
+    """Bit-count parity of every 16-bit word, by doubling: p(2^k + i) = 1 - p(i)."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(16):
+        table = np.concatenate([table, table ^ 1])
+    return table
+
+
+_PARITY16 = _parity_table()
+
+
+def _parity(a: np.ndarray) -> np.ndarray:
+    """Bit-count parity of each entry of a uint32 array."""
+    a = a.astype(np.uint32, copy=False)
+    return _PARITY16[a & np.uint32(0xFFFF)] ^ _PARITY16[a >> np.uint32(16)]
+
+
+def _sign_left(g: int, bits: np.ndarray) -> np.ndarray:
+    """Sign of gamma_g * gamma_K for each K: parity of _suffix_parity(1 << g) & K."""
+    return (1 - 2 * _parity(bits & np.uint32(_suffix_parity(1 << g)))).astype(np.int8)
+
+
+def _sign_right(g: int, bits: np.ndarray) -> np.ndarray:
+    """Sign of gamma_K * gamma_g for each K: bit g of _suffix_parity(K)."""
+    word = _suffix_parity(bits.astype(np.uint32, copy=False))
+    return (1 - 2 * ((word >> np.uint32(g)) & np.uint32(1))).astype(np.int8)
 
 
 def gamma_mul(I: GammaIndex, J: GammaIndex) -> tuple[int, GammaIndex]:
@@ -155,11 +198,15 @@ class CliffordElement:
             if self.n != other.n:
                 raise ValueError("rank mismatch")
             out: dict = {}
+            right = list(other.coef.items())
             for bi, ci in self.coef.items():
-                for bj, cj in other.coef.items():
-                    s = _merge_sign(bi, bj)
+                word = _suffix_parity(bi)
+                for bj, cj in right:
                     k = bi ^ bj
-                    out[k] = out.get(k, 0.0) + s * ci * cj
+                    if (word & bj).bit_count() & 1:
+                        out[k] = out.get(k, 0.0) - ci * cj
+                    else:
+                        out[k] = out.get(k, 0.0) + ci * cj
             return CliffordElement(self.n, out)
         return self.scale(other)
 

@@ -28,6 +28,8 @@ import numpy as np
 from .checks import cluster_degeneracies
 from .clifford import (
     CliffordElement,
+    _sign_left,
+    _sign_right,
     alpha,
     projectors_pm,
     realized_dim,
@@ -36,25 +38,6 @@ from .clifford import (
 
 STATE_CAP = 20_000_000
 DENSE_RDM_CAP = 4096
-
-_PARITY16 = np.array([bin(i).count("1") & 1 for i in range(1 << 16)], dtype=np.uint8)
-
-
-def _parity(a: np.ndarray) -> np.ndarray:
-    a = a.astype(np.uint32, copy=False)
-    return _PARITY16[a & np.uint32(0xFFFF)] ^ _PARITY16[a >> np.uint32(16)]
-
-
-def _sign_left(g: int, bits: np.ndarray) -> np.ndarray:
-    """Sign of gamma_g * gamma_K: count generators of K below g."""
-    below = np.uint32((1 << g) - 1)
-    return (1 - 2 * _parity(bits & below)).astype(np.int8)
-
-
-def _sign_right(g: int, bits: np.ndarray, n: int) -> np.ndarray:
-    """Sign of gamma_K * gamma_g: count generators of K above g."""
-    above = np.uint32(((1 << n) - 1) & ~((1 << (g + 1)) - 1))
-    return (1 - 2 * _parity(bits & above)).astype(np.int8)
 
 
 def _grades(n: int) -> np.ndarray:
@@ -224,7 +207,7 @@ def e_matrix(n: int, A: np.ndarray) -> np.ndarray:
             a = A[i, j]
             if a == 0.0:
                 continue
-            sj = _sign_right(j, Ki, n)
+            sj = _sign_right(j, Ki)
             K2 = Ki ^ np.uint32(1 << j)
             M[K2, K] += (a / n) * si * sj
     return M
@@ -270,14 +253,27 @@ def fcs_expectation(n: int, ops, boundary: str = "omega") -> complex:
     """omega(A_1 x ... x A_l) = (1 or 2)/D * Tr(E_{A_1} o ... o E_{A_l}(e)).
 
     e = 1 for 'omega' (prefactor 1/D), P_+- for 'plus'/'minus' (prefactor 2/D).
+    Identity sites act as E_1, which is diagonal on monomials with the class
+    eigenvalue (-1)^k (n-2k)/n at grade k; every other distinct site operator
+    has its e_matrix built once per call.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}")
     if len(ops) < 1:
         raise ValueError("need at least one site operator")
+    eye = np.eye(n)
+    e_one = transfer_eigenvalue(n, _grades(n))
+    built: dict = {}
     v = coefvec(_boundary_element(n, boundary))
     for A in reversed(list(ops)):
-        v = e_matrix(n, A) @ v
+        A = np.asarray(A, dtype=complex)
+        if np.array_equal(A, eye):
+            v = e_one * v
+            continue
+        key = (A.shape, A.tobytes())
+        if key not in built:
+            built[key] = e_matrix(n, A)
+        v = built[key] @ v
     scale = 1.0 if boundary == "omega" else 2.0
     return complex(scale * v[0])
 
@@ -315,8 +311,8 @@ class SpectralSummary:
     is_primitive: bool
 
 
-def transfer_eigenvalue(n: int, k: int) -> float:
-    """Class eigenvalue of E_1 on grade k: (-1)^k (n-2k)/n."""
+def transfer_eigenvalue(n: int, k):
+    """Class eigenvalue of E_1 on grade k: (-1)^k (n-2k)/n (k may be an array)."""
     return (-1) ** k * (n - 2 * k) / n
 
 

@@ -16,9 +16,11 @@ w in SO(n), Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, then for every monomial
     Pi gamma_I Pi^-1 = sum_{|J| = |I|} det(w[J, I]) gamma_J,
 
 so conjugation keeps each grade k and acts there by the k-th compound
-matrix C_k(w).  rotor_action builds that map; the rotor itself (spin_lift)
-is still formed once per rotation, to certify the lift by its adjoint
-identity.
+matrix C_k(w).  rotor_action builds that map.  The lift itself is certified
+once per rotation on the rotor's dense coefficient vector: the Givens
+factors and the adjoint identity are generator moves, signed permutations
+of that vector, so no Clifford product is formed (spin_lift states the
+lemma).  The checks report the certificate as lift_residual.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ import numpy as np
 from .checks import VerificationReport
 from .clifford import (
     CliffordElement,
-    dist,
+    _check_rank,
+    _sign_left,
+    _sign_right,
     matrix_rep,
     projectors_pm,
     realize,
@@ -127,24 +131,85 @@ def _givens_factors(w: np.ndarray) -> list[tuple[float, int, int]]:
     return facs
 
 
+LIFT_TOL = 1e-10
+
+
+def _right_move(g: int, v: np.ndarray) -> np.ndarray:
+    """Coefficients of B gamma_g from those of B: a signed permutation."""
+    K = np.arange(v.shape[-1], dtype=np.uint32) ^ np.uint32(1 << g)
+    return _sign_right(g, K) * v[..., K]
+
+
+def _left_move(g: int, v: np.ndarray) -> np.ndarray:
+    """Coefficients of gamma_g B from those of B: a signed permutation."""
+    K = np.arange(v.shape[-1], dtype=np.uint32) ^ np.uint32(1 << g)
+    return _sign_left(g, K) * v[..., K]
+
+
+def _rotor_coefficients(n: int, w: np.ndarray) -> np.ndarray:
+    """Dense real coefficient vector of the rotor of w, Givens factor by factor.
+
+    Each factor c + s gamma_i gamma_j multiplies from the right as
+    Pi <- c Pi + s (Pi gamma_i gamma_j), two signed permutations: O(2^n).
+    """
+    _check_rank(n)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n, n):
+        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
+    pi = np.zeros(1 << n)
+    pi[0] = 1.0
+    for th, i, j in _givens_factors(w):
+        c, s = math.cos(th / 2.0), math.sin(th / 2.0)
+        pi = c * pi + s * _right_move(j - 1, _right_move(i - 1, pi))
+    return pi
+
+
+def _certify_lift(n: int, w: np.ndarray, pi: np.ndarray) -> float:
+    """Check spin_lift's certificates (a)-(c) on the rotor coefficients pi.
+
+    Returns the larger of the residuals of (b) and (c); raises
+    AssertionError if (a) fails or that residual exceeds LIFT_TOL.
+    """
+    if np.count_nonzero(pi[_grades(n) % 2 == 1]):
+        raise AssertionError("rotor lift has an odd-grade coefficient")
+    r_norm = abs(float(pi @ pi) - 1.0)
+    left = np.stack([_left_move(j, pi) for j in range(n)])
+    images = np.asarray(w, dtype=float).T @ left  # row i: W_i Pi
+    r_axis = [np.abs(_right_move(i, pi) - images[i]).max() for i in range(n)]
+    if r_norm > LIFT_TOL:
+        raise AssertionError(f"rotor lift is not normalized, residual {r_norm:.3e}")
+    worst = int(np.argmax(r_axis))
+    if r_axis[worst] > LIFT_TOL:
+        raise AssertionError(f"rotor lift failed the adjoint identity at axis {worst + 1}")
+    return max(r_norm, float(r_axis[worst]))
+
+
 def spin_lift(n: int, w: np.ndarray) -> tuple[CliffordElement, CliffordElement]:
     """Rotor Pi with Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, plus its inverse.
+
+    Pi is built on its dense coefficient vector (_rotor_coefficients) and
+    certified there by three checks, each a generator move or a sum, with no
+    Clifford product (_certify_lift):
+
+    (a) Pi has no odd-grade coefficient (exact: signed permutations by
+        gamma_i gamma_j keep grade parity);
+    (b) the scalar part of Pi Pi~ is 1, where Pi~ is the reversion; it
+        equals sum_K Pi_K^2;
+    (c) Pi gamma_i = W_i Pi with W_i = sum_j w_ji gamma_j, for every i.
+
+    Lemma: these give Pi gamma_i Pi^-1 = W_i with Pi^-1 = Pi~.  Reversing
+    (c) gives gamma_i Pi~ = Pi~ W_i, so W_i (Pi Pi~) = Pi gamma_i Pi~ =
+    (Pi Pi~) W_i.  The W_i generate C_n, so Pi Pi~ is central; it is even by
+    (a), and the even centre of C_n is the scalars at every n.  By (b),
+    Pi Pi~ = 1.  So the inverse returned is the reversion of Pi.
 
     Defined up to a global sign; conjugation is what callers use, so the
     choice is irrelevant and not canonicalized.
     """
-    facs = _givens_factors(w)
-    Pi = CliffordElement.one(n)
-    Pi_inv = CliffordElement.one(n)
-    for th, i, j in facs:
-        Pi = Pi * spin_rep_element(n, th, i, j)
-    for th, i, j in reversed(facs):
-        Pi_inv = Pi_inv * spin_rep_element(n, -th, i, j)
-    for i in range(1, n + 1):
-        image = Pi * CliffordElement.gamma(n, i) * Pi_inv
-        if dist(image, rotate_generator(n, w, i)) > 1e-10:
-            raise AssertionError(f"rotor lift failed the adjoint identity at axis {i}")
-    return Pi, Pi_inv
+    pi = _rotor_coefficients(n, w)
+    _certify_lift(n, w, pi)
+    Pi = CliffordElement(n, {K: c for K, c in enumerate(pi) if c})
+    return Pi, transpose_antiauto(Pi)
 
 
 def rotor_action(n: int, w: np.ndarray) -> np.ndarray:
@@ -433,7 +498,8 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
     """theta^(l) conj(rho+-) theta^(l)dag against rho+- and rho-+.
 
     theta has determinant 1, and every special rotation fixes each of rho+-,
-    so the verdict always equals the conjugation verdict.
+    so the verdict always equals the conjugation verdict.  The rotor of theta
+    is certified by _certify_lift; its margin is reported as lift_residual.
     """
     _require_even_n(n)
     th = theta_matrix(n)
@@ -445,7 +511,7 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
         raise AssertionError(f"theta does not flip the spin, residual {flip:.3e}")
     det = float(np.linalg.det(th))
 
-    spin_lift(n, th)  # certifies the rotor of theta by its adjoint identity
+    r_lift = _certify_lift(n, th, _rotor_coefficients(n, th))
     elems_p, _ = rdm_frame(n, l, "plus")
     image = rotor_action(n, th) @ _columns(elems_p).conj()
     verdict, r_fix, r_swap = _frame_verdict(n, l, image)
@@ -455,6 +521,7 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
         "time_reversal_swap": r_swap,
         "theta_det": det,
         "spin_flip": flip,
+        "lift_residual": r_lift,
     }
 
 
@@ -479,16 +546,17 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
 
     (a) random special rotations fix each state; (b) the determinant -1 axis
     flip maps the states to each other (to itself for odd n); (c) the two
-    states have identical spectra.
+    states have identical spectra.  Each rotation's rotor is certified by
+    _certify_lift, and lift_residual is the largest of those margins.
     """
     rng = np.random.default_rng(seed)
     boundaries = ("plus", "minus") if n % 2 == 0 else ("omega",)
     frames = {b: rdm_frame(n, l, b) for b in boundaries}
 
-    r_rot = 0.0
+    r_rot = r_lift = 0.0
     for _ in range(rotations):
         Q = _random_rotation(rng, n)
-        spin_lift(n, Q)  # certifies the rotor of Q by its adjoint identity
+        r_lift = max(r_lift, _certify_lift(n, Q, _rotor_coefficients(n, Q)))
         R = rotor_action(n, Q)
         for elems, c in frames.values():
             r_rot = max(r_rot, frame_operator_distance(n, l, R @ _columns(elems), c, elems, c))
@@ -515,5 +583,6 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
         "flip_residual": r_flip,
         "spectrum_deviation": r_spec,
         "rotations": float(rotations),
+        "lift_residual": r_lift,
     }
     return VerificationReport(f"on_site_breaking_check(n={n}, l={l})", passed, numbers)

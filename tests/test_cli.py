@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,14 @@ def test_seed_is_threaded_through(tmp_path):
     ]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 3
+
+
+def test_import_loads_no_graph_module():
+    # scipy.sparse.csgraph is imported inside the frame routines that use it,
+    # so that importing the package stays as cheap as it is
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, cliffchain; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,11 @@ import pytest
 from cliffchain.clifford import (
     CliffordElement,
     GammaIndex,
+    _merge_sign,
+    _parity,
+    _sign_left,
+    _sign_right,
+    _suffix_parity,
     alpha,
     dist,
     gamma0,
@@ -30,6 +35,57 @@ def rand_element(rng, n, nterms=6):
         bits = int(rng.integers(0, 1 << n))
         coef[bits] = coef.get(bits, 0.0) + complex(rng.normal(), rng.normal())
     return CliffordElement(n, coef)
+
+
+def _merge_sign_oracle(ibits, jbits):
+    """Oracle: sign of gamma_I gamma_J by walking the generators of J.
+
+    Each j in J moves left past the generators of I above it.  This was the
+    library's routine before the suffix-parity word; it is kept only to
+    cross-check that word.
+    """
+    s = 0
+    rest = jbits
+    while rest:
+        j = rest & -rest
+        s += (ibits >> j.bit_length()).bit_count()
+        rest ^= j
+    return -1 if s & 1 else 1
+
+
+def _array_merge_sign(I, J):
+    return 1 - 2 * _parity(_suffix_parity(I) & J).astype(np.int64)
+
+
+def test_merge_sign_matches_bit_walk_oracle_on_every_pair_up_to_n8():
+    masks = range(1 << 8)
+    want = np.array([[_merge_sign_oracle(i, j) for j in masks] for i in masks])
+    got = np.array([[_merge_sign(i, j) for j in masks] for i in masks])
+    assert np.array_equal(got, want)
+    idx = np.arange(1 << 8, dtype=np.uint32)
+    assert np.array_equal(_array_merge_sign(idx[:, None], idx[None, :]), want)
+
+
+def test_merge_sign_matches_bit_walk_oracle_on_random_pairs_at_n16():
+    rng = np.random.default_rng(16)
+    I = rng.integers(0, 1 << 16, size=100_000, dtype=np.uint32)
+    J = rng.integers(0, 1 << 16, size=100_000, dtype=np.uint32)
+    want = np.array([_merge_sign_oracle(i, j) for i, j in zip(I.tolist(), J.tolist())])
+    got = np.array([_merge_sign(i, j) for i, j in zip(I.tolist(), J.tolist())])
+    assert np.array_equal(got, want)
+    assert np.array_equal(_array_merge_sign(I, J), want)
+    words = _suffix_parity(I)
+    assert words.dtype == np.uint32
+    assert words.tolist() == [_suffix_parity(i) for i in I.tolist()]
+
+
+def test_generator_signs_are_the_merge_sign():
+    K = np.arange(1 << 9, dtype=np.uint32)
+    for g in range(9):
+        left = [_merge_sign(1 << g, k) for k in K.tolist()]
+        right = [_merge_sign(k, 1 << g) for k in K.tolist()]
+        assert _sign_left(g, K).tolist() == left
+        assert _sign_right(g, K).tolist() == right
 
 
 def test_gamma_mul_basic_example():
@@ -241,3 +297,11 @@ def test_monomial_images_equal_ascending_products_and_are_read_only():
             assert np.array_equal(img, want)
             assert not img.flags.writeable
             assert rep.monomial(bits) is img  # kept per realization
+
+
+def test_parity_table_counts_bits():
+    words = np.array([0, 1, 3, 0xFFFF, 0x8001, 0x12345678, 0xFFFFFFFF], dtype=np.uint32)
+    assert _parity(words).tolist() == [bin(int(x)).count("1") & 1 for x in words]
+    assert _parity(np.arange(1 << 16, dtype=np.uint32)).tolist() == [
+        bin(i).count("1") & 1 for i in range(1 << 16)
+    ]

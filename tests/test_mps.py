@@ -324,7 +324,7 @@ def _dense_overlap_kernel_oracle(n, l):
         Znew = np.zeros_like(Z)
         for gen in range(n):
             sl = _sign_left(gen, idx).astype(complex)
-            sr = _sign_right(gen, idx, n).astype(complex)
+            sr = _sign_right(gen, idx).astype(complex)
             T = (sl[:, None] * sr[None, :]) * Z
             perm = idx ^ np.uint32(1 << gen)
             Znew += T[np.ix_(perm, perm)]
@@ -703,3 +703,45 @@ def test_two_point_vanishing():
     A = np.diag([1.0, -1.0, 0.0])
     for r in range(1, 4):
         assert abs(two_point_correlation(3, A, A, r, "plus")) < 1e-14
+
+
+def _fcs_expectation_oracle(n, ops, boundary):
+    """Oracle: fcs_expectation with one e_matrix per site, identities included.
+
+    fcs_expectation took this route before identity sites became the E_1
+    diagonal; it is kept only to cross-check that diagonal.
+    """
+    P_plus, P_minus = projectors_pm(n)
+    v = coefvec({"omega": CliffordElement.one(n), "plus": P_plus, "minus": P_minus}[boundary])
+    for A in reversed(ops):
+        v = e_matrix(n, A) @ v
+    return complex((1.0 if boundary == "omega" else 2.0) * v[0])
+
+
+def test_identity_sites_are_the_e1_diagonal():
+    for n in range(2, 9):
+        want = np.array([transfer_eigenvalue(n, b.bit_count()) for b in range(1 << n)])
+        assert np.abs(e_matrix(n, np.eye(n)) - np.diag(want)).max() < 1e-15
+        assert np.array_equal(transfer_eigenvalue(n, _grades(n)), want)
+
+
+def test_fcs_and_correlators_match_the_per_site_oracle():
+    rng = np.random.default_rng(71)
+    for n in range(3, 8):
+        eye = np.eye(n)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = rng.normal(size=(n, n))
+        S = np.zeros((n, n), dtype=complex)
+        S[0, 1], S[1, 0] = 1.0j, -1.0j
+        chains = ([A, eye, eye, B], [eye, A, B, eye, A], [eye] * 3, [2.0 * eye, A], [S])
+        for boundary in ("omega", "plus", "minus"):
+            for ops in chains:
+                got = fcs_expectation(n, ops, boundary)
+                assert abs(got - _fcs_expectation_oracle(n, ops, boundary)) < 1e-13
+            for X, Y in ((S, S), (A, B)):
+                for r in range(4):
+                    joint = _fcs_expectation_oracle(n, [X] + [eye] * r + [Y], boundary)
+                    left = _fcs_expectation_oracle(n, [X] + [eye] * (r + 1), boundary)
+                    right = _fcs_expectation_oracle(n, [eye] * (r + 1) + [Y], boundary)
+                    want = joint - left * right
+                    assert abs(two_point_correlation(n, X, Y, r, boundary) - want) < 1e-13

@@ -15,12 +15,16 @@ from cliffchain.mps import (
 from cliffchain.spt import (
     FIXES,
     INVARIANT,
+    LIFT_TOL,
     VERDICT_TOL,
     BondSymmetry,
     CptReport,
+    _certify_lift,
     _flip_first_axis,
     _frame_verdict,
+    _givens_factors,
     _random_rotation,
+    _rotor_coefficients,
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
@@ -60,6 +64,26 @@ def _rotor_image_oracle(n, w, elems):
     """
     Pi, Pi_inv = spin_lift(n, w)
     return [Pi * B * Pi_inv for B in elems]
+
+
+def _spin_lift_oracle(n, w):
+    """Oracle: the rotor and its inverse as chains of Clifford products.
+
+    spin_lift took this route before it moved to coefficient vectors: one
+    product per Givens factor for Pi, the reversed inverse factors for
+    Pi_inv, and the adjoint identity by n general products.
+    """
+    facs = _givens_factors(w)
+    Pi = CliffordElement.one(n)
+    Pi_inv = CliffordElement.one(n)
+    for th, i, j in facs:
+        Pi = Pi * spin_rep_element(n, th, i, j)
+    for th, i, j in reversed(facs):
+        Pi_inv = Pi_inv * spin_rep_element(n, -th, i, j)
+    for i in range(1, n + 1):
+        image = Pi * CliffordElement.gamma(n, i) * Pi_inv
+        assert dist(image, rotate_generator(n, w, i)) < 1e-10
+    return Pi, Pi_inv
 
 
 def test_rotation_pair_invariants():
@@ -107,6 +131,37 @@ def test_spin_lift_random_rotations():
         spin_lift(3, np.diag([-1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         spin_lift(3, np.eye(3) * 2.0)
+
+
+def test_spin_lift_matches_the_clifford_product_oracle():
+    rng = np.random.default_rng(61)
+    for n in range(3, 9):
+        w = rand_so(rng, n)
+        Pi, Pi_inv = spin_lift(n, w)
+        want, want_inv = _spin_lift_oracle(n, w)
+        assert np.abs(coefvec(Pi) - coefvec(want)).max() < 1e-12
+        assert np.abs(coefvec(Pi_inv) - coefvec(want_inv)).max() < 1e-12
+        for i in range(1, n + 1):
+            image = Pi * CliffordElement.gamma(n, i) * Pi_inv
+            assert dist(image, rotate_generator(n, w, i)) < 1e-10
+
+
+def test_certify_lift_rejects_a_rotor_of_another_rotation():
+    rng = np.random.default_rng(67)
+    for n in (3, 4, 7):
+        w1, w2 = rand_so(rng, n), rand_so(rng, n)
+        pi = _rotor_coefficients(n, w1)
+        assert _certify_lift(n, w1, pi) < 1e-13
+        with pytest.raises(AssertionError, match="adjoint identity"):
+            _certify_lift(n, w2, pi)
+        with pytest.raises(AssertionError, match="normalized"):
+            _certify_lift(n, w1, 2.0 * pi)
+        odd = pi.copy()
+        odd[1] = 1e-20
+        with pytest.raises(AssertionError, match="odd-grade"):
+            _certify_lift(n, w1, odd)
+    with pytest.raises(ValueError):
+        spin_lift(4, np.eye(3))
 
 
 def test_intertwining_with_site_rotations():
@@ -294,6 +349,21 @@ def test_cpt_report_verdicts_agree():
         assert rep.conjugation == rep.reflection
         assert set(rep.residuals) >= {"conjugation_fix", "reflection_fix",
                                       "time_reversal_fix", "theta_det"}
+
+
+def test_checks_report_the_largest_lift_residual():
+    rotations, seed = 3, 2
+    rep = on_site_breaking_check(6, 2, rotations=rotations, seed=seed)
+    rng = np.random.default_rng(seed)
+    lifts = []
+    for _ in range(rotations):
+        Q = _random_rotation(rng, 6)
+        lifts.append(_certify_lift(6, Q, _rotor_coefficients(6, Q)))
+    assert rep.numbers["lift_residual"] == max(lifts) < LIFT_TOL
+    th = theta_matrix(6)
+    _, res = time_reversal_check(6, 2)
+    assert res["lift_residual"] == _certify_lift(6, th, _rotor_coefficients(6, th))
+    assert res["lift_residual"] < LIFT_TOL
 
 
 def test_on_site_breaking_check_even_n():
