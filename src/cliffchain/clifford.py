@@ -16,7 +16,6 @@ cross-check and for code that genuinely needs operators on C^D.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,10 +169,6 @@ class CliffordElement:
     def gamma(cls, n: int, *indices) -> "CliffordElement":
         return cls(n, {GammaIndex.from_indices(n, indices).bits: 1.0})
 
-    @classmethod
-    def from_index(cls, idx: GammaIndex, c: complex = 1.0) -> "CliffordElement":
-        return cls(idx.n, {idx.bits: c})
-
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
@@ -246,10 +241,6 @@ class CliffordElement:
 
     def norm_max(self) -> float:
         return max((abs(c) for c in self.coef.values()), default=0.0)
-
-    def hs_norm(self) -> float:
-        """Frobenius norm of the realization: sqrt(D * sum |c_I|^2)."""
-        return math.sqrt(realized_dim(self.n) * sum(abs(c) ** 2 for c in self.coef.values()))
 
     def is_zero(self, tol: float = PRUNE_TOL) -> bool:
         return self.norm_max() <= tol

@@ -7,15 +7,15 @@ matrices.  Expectation values use the transfer maps
     E_A(B)   = (1/n) sum_ij A_ij gamma_i B gamma_j
     F1_A     = alpha o E_{RAR},   F2_A = alpha o E_A   (on P_+ C_n^even)
 
-acting on coefficient vectors over the 2^n monomial basis.  Reduced density
-matrices are assembled from the frame {psi(P gamma_K)}; past the dense cap
-they are handled through the overlaps of bond elements.  The overlap kernel
-is diagonal in the monomial basis with entries that depend only on the
-grade, a length-(n+1) vector built by a recurrence in l.  Two consequences
-replace dense linear algebra: frames split into blocks of disjoint monomial
-support, which give orthogonal states (frame_operator_distance,
-frame_product_trace), and the marginal spectrum has a closed form per grade
-(rdm_eigen_by_grade).
+acting on coefficient vectors over the 2^n monomial basis.  A marginal is
+(c / n^l) sum_K |psi(X_K)><psi(X_K)| over its frame X = {P gamma_K}, the
+(2^n, 2^n) coefficient array that rdm_frame builds in closed form; it is
+the one frame format.  The overlap kernel is diagonal in the monomial
+basis with entries that depend only on the grade, a length-(n+1) vector
+built by a recurrence in l.  Two consequences replace dense linear
+algebra: frames split into blocks of disjoint monomial support, which give
+orthogonal states (frame_operator_distance, frame_product_trace), and the
+marginal spectrum has a closed form per grade (rdm_eigen_by_grade).
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ import numpy as np
 from .checks import cluster_degeneracies
 from .clifford import (
     CliffordElement,
+    _parity,
     _sign_left,
     _sign_right,
+    _suffix_parity,
     alpha,
     projectors_pm,
     realized_dim,
@@ -59,6 +61,24 @@ def coefvec(B: CliffordElement) -> np.ndarray:
 
 def element_from_coefvec(n: int, v: np.ndarray) -> CliffordElement:
     return CliffordElement(n, {int(b): complex(c) for b, c in enumerate(v)})
+
+
+def _projected_columns(n: int, sign: str) -> np.ndarray:
+    """Coefficient columns of P gamma_K for every monomial K, P = P_+ or P_-.
+
+    Closed form: P = (1 +- phase gamma_full) / 2 and gamma_full gamma_K =
+    s(K) gamma_{K^c}, where K^c = K xor full and s(K) is the parity of
+    _suffix_parity(full) & K.  So column K is 1/2 at row K and
+    +-phase s(K) / 2 at row K^c, with no Clifford product.
+    """
+    P = projectors_pm(n)[0 if sign == "plus" else 1]
+    full = (1 << n) - 1
+    K = np.arange(1 << n, dtype=np.uint32)
+    s = (1 - 2 * _parity(K & np.uint32(_suffix_parity(full)))).astype(np.int8)
+    cols = np.zeros((1 << n, 1 << n), dtype=complex)
+    cols[K, K] = P.coef[0]
+    cols[K ^ np.uint32(full), K] = P.coef[full] * s
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +176,21 @@ def _string_tables(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, sign
 
 
-def _psi(n: int, l: int, B: CliffordElement, cap: int = STATE_CAP) -> np.ndarray:
+def _psi(n: int, l: int, coefs: np.ndarray, cap: int = STATE_CAP) -> np.ndarray:
+    """psi of a coefficient vector (2^n,), or of each column of a (2^n, m) array."""
     if n**l > cap:
         raise ValueError(f"state dimension n^l = {n**l} exceeds cap {cap}")
     bits, sign = _string_tables(n, l)
-    b = coefvec(B) * _sq_signs(n)
-    return realized_dim(n) * sign * b[bits]
+    extra = (1,) * (coefs.ndim - 1)
+    b = coefs * _sq_signs(n).reshape(-1, *extra)
+    return realized_dim(n) * sign.reshape(-1, *extra) * b[bits]
 
 
 def mps_vector(fam: MpsFamily, l: int, B: CliffordElement, cap: int = STATE_CAP) -> np.ndarray:
     """psi(B): coefficient at (i_1..i_l) is Tr(B gamma_{i_l}...gamma_{i_1})."""
     if not fam.contains(B):
         raise ValueError(f"element outside the {fam.bond_domain} bond domain")
-    return _psi(fam.n, l, B, cap)
+    return _psi(fam.n, l, coefvec(B), cap)
 
 
 def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
@@ -179,12 +201,12 @@ def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
     bond domain is P_+ C_n^even ('p_plus_even'); use mps_vector to have the
     domain checked.
     """
-    return _psi(n, l, B)
+    return _psi(n, l, coefvec(B))
 
 
 def psi_minus(n: int, l: int, B: CliffordElement) -> np.ndarray:
     """The - state map: psi_minus(B) = psi_plus(alpha(B))."""
-    return _psi(n, l, alpha(B))
+    return _psi(n, l, coefvec(alpha(B)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +343,10 @@ def _p_plus_embedding(n: int, even: bool = False) -> tuple[np.ndarray, np.ndarra
 
     With even=True only the even-grade K are kept (the P_+ C_n^even basis).
     """
-    P_plus, _ = projectors_pm(n)
     reps = [b for b in range(1 << (n - 1)) if not (even and b.bit_count() % 2)]
-    emb = np.zeros((1 << n, len(reps)), dtype=complex)
+    emb = _projected_columns(n, "plus")[:, reps]
     res = np.zeros((len(reps), 1 << n), dtype=complex)
-    for col, bits in enumerate(reps):
-        emb[:, col] = coefvec(P_plus * CliffordElement(n, {bits: 1.0}))
-        res[col, bits] = 2.0
+    res[np.arange(len(reps)), reps] = 2.0
     return emb, res
 
 
@@ -452,28 +471,6 @@ def _grade_kernel(n: int, l: int) -> np.ndarray:
     return _grade_weights(n, l) * sq
 
 
-def _columns(elems) -> np.ndarray:
-    """Coefficient columns of a frame: an element list, or a (2^n, m) array as is."""
-    return elems if isinstance(elems, np.ndarray) else np.stack([coefvec(B) for B in elems], axis=1)
-
-
-def gram_matrix(n: int, l: int, elems) -> np.ndarray:
-    """Gram matrix of state overlaps <psi(B_a), psi(B_b)> from bond data only.
-
-    elems is a list of elements or a (2^n, m) array of coefficient columns.
-    The overlap kernel is diagonal in the monomial basis, so with
-    w[K] = z_l(|K|) / n^l from _grade_weights and sq[K] = reversal_sign(|K|),
-
-        G = n^l D^2 Bmat^H (w * sq * Bmat),
-
-    where the columns of Bmat are the coefficient vectors of elems.
-    """
-    Bmat = _columns(elems)
-    kern = _grade_kernel(n, l)[_grades(n)]
-    G = n**l * (realized_dim(n) ** 2) * (Bmat.conj().T @ (kern[:, None] * Bmat))
-    return 0.5 * (G + G.conj().T)
-
-
 def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The Gram of a frame over n^l, split into its support-connected blocks.
 
@@ -522,15 +519,15 @@ def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.
 def frame_operator_distance(
     n: int,
     l: int,
-    elems_a,
+    cols_a: np.ndarray,
     coef_a: float,
-    elems_b,
+    cols_b: np.ndarray,
     coef_b: float,
 ) -> float:
     """Spectral norm of n^-l (sum_a c_a |psi(x_a)><psi(x_a)| - sum_b c_b |psi(x_b)><psi(x_b)|).
 
-    Each frame is a list of elements or a (2^n, m) array of coefficient
-    columns; the weights are taken relative to n^l, as rdm_frame returns
+    Each frame is a (2^n, m) array whose columns are the coefficient
+    vectors x; the weights are taken relative to n^l, as rdm_frame returns
     them.  By the direct-sum lemma of _gram_blocks the norm is the largest
     over the support-connected blocks of the joint frame.  In a block with
     Gram G = V diag(lam) V^H and weights S, the nonzero spectrum of the
@@ -540,7 +537,6 @@ def frame_operator_distance(
     the rotor of theta) keep every complement class {K, K^c}, so their
     blocks have at most four columns; SO(n) rotors keep grade pairs {k, n-k}.
     """
-    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
     signs = np.concatenate([np.full(cols_a.shape[1], float(coef_a)),
                             np.full(cols_b.shape[1], -float(coef_b))])
     blocks = _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1))
@@ -558,9 +554,9 @@ def frame_operator_distance(
 def frame_product_trace(
     n: int,
     l: int,
-    elems_a,
+    cols_a: np.ndarray,
     coef_a: float,
-    elems_b,
+    cols_b: np.ndarray,
     coef_b: float,
 ) -> float:
     """Tr(rho_a rho_b) for rho = n^-l sum c |psi(x)><psi(x)| over each frame.
@@ -569,7 +565,6 @@ def frame_product_trace(
     support-connected block overlap, so the cross terms are summed block by
     block.
     """
-    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
     m_a = cols_a.shape[1]
     total = 0.0
     for idx, G in _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1)):
@@ -584,14 +579,6 @@ def frame_product_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    matrix: np.ndarray
-    n: int
-    l: int
-    boundary: str
-
-
 def _effective_sign(boundary: str, n: int, l: int) -> str:
     """Frame boundary: for even n the projector flips across an odd block."""
     if boundary == "omega":
@@ -601,35 +588,33 @@ def _effective_sign(boundary: str, n: int, l: int) -> str:
     return boundary
 
 
-def rdm_frame(n: int, l: int, boundary: str) -> tuple[list[CliffordElement], float]:
-    """Bond elements X_K and weight c with rho = (c / n^l) sum_K |psi(X_K)><psi(X_K)|.
+def rdm_frame(n: int, l: int, boundary: str) -> tuple[np.ndarray, float]:
+    """Frame X and weight c with rho = (c / n^l) sum_K |psi(X_K)><psi(X_K)|.
 
-    c is carried relative to n^l, the convention of the frame routines, so
-    no length overflows it.
+    X is the (2^n, 2^n) array whose column K holds the coefficients of
+    gamma_K for omega and of P gamma_K for the pure states, P = P_+ or P_-
+    (_projected_columns).  c is carried relative to n^l, the convention of
+    the frame routines, so no length overflows it.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}")
     D = realized_dim(n)
     eff = _effective_sign(boundary, n, l)
     if eff == "omega":
-        elems = [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-        return elems, 1.0 / D**2
-    P_plus, P_minus = projectors_pm(n)
-    P = P_plus if eff == "plus" else P_minus
-    elems = [P * CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-    return elems, 2.0 / D**2
+        return np.eye(1 << n, dtype=complex), 1.0 / D**2
+    return _projected_columns(n, eff), 2.0 / D**2
 
 
 def reduced_density_matrix(
     n: int, l: int, boundary: str = "plus", cap: int = DENSE_RDM_CAP
-) -> DensityMatrix:
-    """Dense l-site marginal of the chosen state."""
+) -> np.ndarray:
+    """Dense l-site marginal of the chosen state, an n^l x n^l array."""
     if n**l > cap:
         raise ValueError(f"dense marginal dimension n^l = {n**l} exceeds cap {cap}")
-    elems, c = rdm_frame(n, l, boundary)
-    Psi = np.stack([_psi(n, l, B) for B in elems], axis=1)
+    cols, c = rdm_frame(n, l, boundary)
+    Psi = _psi(n, l, cols)
     rho = (c / n**l) * (Psi @ Psi.conj().T)
-    return DensityMatrix(0.5 * (rho + rho.conj().T), n, l, boundary)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def rdm_entry_oracle(n: int, l: int, boundary: str, row, col) -> complex:
@@ -682,8 +667,7 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
 
 def injectivity_rank(fam: MpsFamily, l: int, cap: int = STATE_CAP) -> tuple[int, bool]:
     """Rank of B -> psi(B) on the family's bond domain."""
-    basis = fam.basis()
-    Psi = np.stack([_psi(fam.n, l, B, cap) for B in basis], axis=1)
+    Psi = _psi(fam.n, l, np.stack([coefvec(B) for B in fam.basis()], axis=1), cap)
     svals = np.linalg.svd(Psi, compute_uv=False)
     rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
     return rank, rank == fam.dim()

@@ -3,12 +3,16 @@
 The half-integer index of a tensor family is read off from commutators of
 bond symmetries extracted via the mixed transfer operator.  Antilinear maps
 are always handled as (entrywise conjugation) followed by a unitary, and the
-density-matrix checks run on Gram frames so no state vector is ever built.
-Each frame distance is the largest over the support-connected blocks of the
-frame (mps.frame_operator_distance): bar, transpose_antiauto, the axis flip
-and the rotor of theta keep every complement class {K, K^c}, so those
-blocks have at most four columns, and SO(n) rotors keep grade pairs
-{k, n-k}.  The marginal spectra are the closed form mps.rdm_eigen_by_grade.
+density-matrix checks run on the coefficient columns of mps.rdm_frame, so
+no state vector is ever built.  Each image of a frame is an array
+expression: bar is cols.conj(), transpose_antiauto the reversal sign of
+each row, the axis flip -1 on the rows that hold gamma_1, and a rotor
+rotor_action(n, w) @ cols.  Each frame distance is the largest over the
+support-connected blocks of the frame (mps.frame_operator_distance): bar,
+transpose_antiauto, the axis flip and the rotor of theta keep every
+complement class {K, K^c}, so those blocks have at most four columns, and
+SO(n) rotors keep grade pairs {k, n-k}.  The marginal spectra are the
+closed form mps.rdm_eigen_by_grade.
 
 Rotations act on those frames through one lemma.  If Pi is the rotor of
 w in SO(n), Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, then for every monomial
@@ -42,8 +46,8 @@ from .clifford import (
     transpose_antiauto,
 )
 from .mps import (
-    _columns,
     _grades,
+    _sq_signs,
     frame_operator_distance,
     rdm_eigen_by_grade,
     rdm_frame,
@@ -444,12 +448,15 @@ def _require_even_n(n: int) -> None:
         raise ValueError("the paired-state checks need even n")
 
 
-def _frame_verdict(n: int, l: int, image_elems) -> tuple[str, float, float]:
-    """Match a transformed plus-state frame against the plus and minus states."""
-    elems_p, c_p = rdm_frame(n, l, "plus")
-    elems_m, c_m = rdm_frame(n, l, "minus")
-    r_fix = frame_operator_distance(n, l, image_elems, c_p, elems_p, c_p)
-    r_swap = frame_operator_distance(n, l, image_elems, c_p, elems_m, c_m)
+def _frame_verdict(n: int, l: int, image: np.ndarray, plus, minus) -> tuple[str, float, float]:
+    """Match the image of the plus frame against the plus and minus frames.
+
+    plus and minus are the (columns, weight) pairs of rdm_frame; image
+    holds the transformed plus columns and carries the plus weight.
+    """
+    (cols_p, c_p), (cols_m, c_m) = plus, minus
+    r_fix = frame_operator_distance(n, l, image, c_p, cols_p, c_p)
+    r_swap = frame_operator_distance(n, l, image, c_p, cols_m, c_m)
     fixes, swaps = r_fix < VERDICT_TOL, r_swap < VERDICT_TOL
     if fixes and swaps:
         verdict = FIXES if n % 4 == 0 else SWAPS  # degenerate rho+ = rho- regime
@@ -465,9 +472,8 @@ def _frame_verdict(n: int, l: int, image_elems) -> tuple[str, float, float]:
 def conjugation_check(n: int, l: int) -> tuple[str, dict]:
     """Entrywise conjugate of rho+- against rho+- (FIXES) or rho-+ (SWAPS)."""
     _require_even_n(n)
-    elems_p, _ = rdm_frame(n, l, "plus")
-    bar_elems = [B.bar() for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, bar_elems)
+    plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
+    verdict, r_fix, r_swap = _frame_verdict(n, l, plus[0].conj(), plus, minus)
     return verdict, {"conjugation_fix": r_fix, "conjugation_swap": r_swap}
 
 
@@ -476,9 +482,9 @@ def reflection_check(n: int, l: int) -> tuple[str, dict]:
     _require_even_n(n)
     if l % 2 == 1:
         raise ValueError("reflection check is defined for even lengths")
-    elems_p, _ = rdm_frame(n, l, "plus")
-    refl_elems = [transpose_antiauto(B) for B in elems_p]
-    verdict, r_fix, r_swap = _frame_verdict(n, l, refl_elems)
+    plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
+    image = _sq_signs(n)[:, None] * plus[0]  # transpose_antiauto on every column
+    verdict, r_fix, r_swap = _frame_verdict(n, l, image, plus, minus)
     return verdict, {"reflection_fix": r_fix, "reflection_swap": r_swap}
 
 
@@ -512,9 +518,9 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
     det = float(np.linalg.det(th))
 
     r_lift = _certify_lift(n, th, _rotor_coefficients(n, th))
-    elems_p, _ = rdm_frame(n, l, "plus")
-    image = rotor_action(n, th) @ _columns(elems_p).conj()
-    verdict, r_fix, r_swap = _frame_verdict(n, l, image)
+    plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
+    image = rotor_action(n, th) @ plus[0].conj()
+    verdict, r_fix, r_swap = _frame_verdict(n, l, image, plus, minus)
     verdict = INVARIANT if verdict == FIXES else verdict
     return verdict, {
         "time_reversal_fix": r_fix,
@@ -535,9 +541,13 @@ def cpt_report(n: int, l: int) -> CptReport:
     return CptReport(n, l, conj_verdict, refl_verdict, tr_verdict, res)
 
 
-def _flip_first_axis(B: CliffordElement) -> CliffordElement:
-    """Conjugation by the determinant -1 reflection of the first coordinate."""
-    return CliffordElement(B.n, {b: -c if b & 1 else c for b, c in B.coef.items()})
+def _axis_flip_signs(n: int) -> np.ndarray:
+    """Conjugation by the reflection of the first axis, on monomial coefficients.
+
+    The reflection sends gamma_1 to -gamma_1 and fixes the other
+    generators, so gamma_K changes sign exactly when gamma_1 is a factor.
+    """
+    return np.where(np.arange(1 << n) & 1, -1, 1)
 
 
 def on_site_breaking_check(n: int, l: int, rotations: int = 5,
@@ -558,15 +568,15 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
         Q = _random_rotation(rng, n)
         r_lift = max(r_lift, _certify_lift(n, Q, _rotor_coefficients(n, Q)))
         R = rotor_action(n, Q)
-        for elems, c in frames.values():
-            r_rot = max(r_rot, frame_operator_distance(n, l, R @ _columns(elems), c, elems, c))
+        for cols, c in frames.values():
+            r_rot = max(r_rot, frame_operator_distance(n, l, R @ cols, c, cols, c))
 
     src = boundaries[0]
     dst = boundaries[-1]  # partner state for even n, the same state for odd
-    elems, c = frames[src]
-    flipped = [_flip_first_axis(B) for B in elems]
-    elems_d, c_d = frames[dst]
-    r_flip = frame_operator_distance(n, l, flipped, c, elems_d, c_d)
+    cols, c = frames[src]
+    cols_d, c_d = frames[dst]
+    flipped = _axis_flip_signs(n)[:, None] * cols
+    r_flip = frame_operator_distance(n, l, flipped, c, cols_d, c_d)
 
     spec_a = rdm_eigen_by_grade(n, l, src)
     spec_b = rdm_eigen_by_grade(n, l, dst)

@@ -156,14 +156,14 @@ def test_acceptance_05_dimer_chain_kernel_dimensions():
 
 def test_acceptance_06_pure_state_marginals_coincide_then_orthogonalize():
     t0 = time.perf_counter()
-    ep, cp = rdm_frame(6, 2, "plus")
-    em, cm = rdm_frame(6, 2, "minus")
-    d2 = frame_operator_distance(6, 2, ep, cp, em, cm)
+    cols_p, c_p = rdm_frame(6, 2, "plus")
+    cols_m, c_m = rdm_frame(6, 2, "minus")
+    d2 = frame_operator_distance(6, 2, cols_p, c_p, cols_m, c_m)
 
     def cross_purity(n, l):
-        fp, ap = rdm_frame(n, l, "plus")
-        fm, am = rdm_frame(n, l, "minus")
-        return frame_product_trace(n, l, fp, ap, fm, am)
+        cols_p, c_p = rdm_frame(n, l, "plus")
+        cols_m, c_m = rdm_frame(n, l, "minus")
+        return frame_product_trace(n, l, cols_p, c_p, cols_m, c_m)
 
     # closed form 2^(1-n) sum over x in {+-1}^n with x_1...x_n = -1 of
     # (sum_i x_i / n)^(2l); at even n no such x has |sum_i x_i| = n, so every

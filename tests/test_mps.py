@@ -20,20 +20,21 @@ from cliffchain.clifford import (
 from cliffchain.mps import (
     BOUNDARIES,
     MpsFamily,
-    _columns,
     _effective_sign,
+    _grade_kernel,
     _grade_weights,
     _gram_blocks,
     _grades,
     _sign_left,
     _sign_right,
+    _sq_signs,
     coefvec,
     e_matrix,
+    element_from_coefvec,
     fcs_expectation,
     fcs_expectation_f,
     frame_operator_distance,
     frame_product_trace,
-    gram_matrix,
     injectivity_rank,
     mps_vector,
     psi_minus,
@@ -49,7 +50,7 @@ from cliffchain.mps import (
 )
 from cliffchain.checks import cluster_degeneracies
 from cliffchain.reporting import _expected_grade_mult, _expected_grades
-from cliffchain.spt import _flip_first_axis, _random_rotation, rotor_action, theta_matrix
+from cliffchain.spt import _axis_flip_signs, _random_rotation, rotor_action, theta_matrix
 
 
 def g(n, *idx):
@@ -75,8 +76,9 @@ def basis_state(n, l, *sites):
     return v
 
 
-def dense_rho(n, l, boundary):
-    return reduced_density_matrix(n, l, boundary).matrix
+def _stack(elems):
+    """Coefficient columns of a list of elements."""
+    return np.stack([coefvec(B) for B in elems], axis=1)
 
 
 # --- state vectors ---------------------------------------------------------
@@ -346,11 +348,24 @@ def test_grade_weights_match_dense_kernel_oracle():
             assert np.allclose(w, diag.real, rtol=1e-14, atol=0)
 
 
+def _gram_oracle(n, l, cols):
+    """Oracle: the Gram <psi(B_a), psi(B_b)> / n^l of coefficient columns.
+
+    The overlap kernel is diagonal in the monomial basis, so with
+    w[K] = z_l(|K|) / n^l from _grade_weights and sq[K] = reversal_sign(|K|),
+    G / n^l = D^2 cols^H (w * sq * cols).  The library's gram_matrix took
+    this dense route; it is kept only to cross-check the support blocks.
+    """
+    kern = _grade_kernel(n, l)[_grades(n)]
+    G = realized_dim(n) ** 2 * (cols.conj().T @ (kern[:, None] * cols))
+    return 0.5 * (G + G.conj().T)
+
+
 def test_gram_matches_brute_overlaps():
     rng = np.random.default_rng(11)
     for n, l in ((3, 2), (3, 3), (4, 2), (4, 3)):
         elems = [rand_element(rng, n) for _ in range(5)]
-        G = gram_matrix(n, l, elems)
+        G = n**l * _gram_oracle(n, l, _stack(elems))
         Psi = np.stack([psi_plus(n, l, B) for B in elems], axis=1)
         brute = Psi.conj().T @ Psi
         assert np.abs(G - brute).max() < 1e-10 * max(1.0, np.abs(brute).max())
@@ -361,7 +376,7 @@ def test_frame_distance_and_product_match_dense():
     n, l = 4, 3
     ea, ca = rdm_frame(n, l, "plus")
     eb, cb = rdm_frame(n, l, "minus")
-    rp, rm = dense_rho(n, l, "plus"), dense_rho(n, l, "minus")
+    rp, rm = reduced_density_matrix(n, l, "plus"), reduced_density_matrix(n, l, "minus")
     want = np.abs(np.linalg.eigvalsh(rp - rm)).max()
     got = frame_operator_distance(n, l, ea, ca, eb, cb)
     assert abs(got - want) < 1e-11
@@ -370,19 +385,13 @@ def test_frame_distance_and_product_match_dense():
     assert abs(got_tr - want_tr) < 1e-11
 
 
-def _scaled_gram_oracle(n, l, elems):
-    """The Gram of the states over n^l, from gram_matrix; small n^l only."""
-    return gram_matrix(n, l, elems) / float(n) ** l
-
-
-def _frame_operator_distance_oracle(n, l, elems_a, coef_a, elems_b, coef_b):
+def _frame_operator_distance_oracle(n, l, cols_a, coef_a, cols_b, coef_b):
     """Test oracle: frame_operator_distance by one eigh of the whole joint Gram.
 
     The library took this dense route before the support blocks; it costs
     O(m^3) in the joint frame size m and is kept only to cross-check them.
     """
-    cols_a, cols_b = _columns(elems_a), _columns(elems_b)
-    G = _scaled_gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
+    G = _gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
     signs = np.concatenate([coef_a * np.ones(cols_a.shape[1]), -coef_b * np.ones(cols_b.shape[1])])
     evals, vecs = np.linalg.eigh(G)
     keep = evals > 1e-12 * max(float(evals.max(initial=0.0)), 1e-300)
@@ -394,16 +403,19 @@ def _frame_operator_distance_oracle(n, l, elems_a, coef_a, elems_b, coef_b):
 
 
 def _cpt_images(n, l):
-    """Images of the plus frame under the CPT maps, the axis flip and a random rotor."""
-    elems, _ = rdm_frame(n, l, "plus")
-    cols = _columns(elems)
+    """Images of the plus frame under the CPT maps, the axis flip and a random rotor.
+
+    bar, transpose and flip come from the element oracles, column by column.
+    """
+    cols, _ = rdm_frame(n, l, "plus")
+    elems = [element_from_coefvec(n, v) for v in cols.T]
     rng = np.random.default_rng(0)
     return {
-        "bar": [B.bar() for B in elems],
-        "transpose": [transpose_antiauto(B) for B in elems],
+        "bar": _stack([B.bar() for B in elems]),
+        "transpose": _stack([transpose_antiauto(B) for B in elems]),
         "theta": rotor_action(n, theta_matrix(n)) @ cols.conj(),
         "rotor": rotor_action(n, _random_rotation(rng, n)) @ cols,
-        "flip": [_flip_first_axis(B) for B in elems],
+        "flip": _stack([_flip_first_axis_oracle(B) for B in elems]),
     }
 
 
@@ -417,7 +429,7 @@ def test_blocked_frame_distance_matches_dense_oracle(n, l):
             want = _frame_operator_distance_oracle(n, l, image, c, target, c_t)
             assert abs(got - want) < 1e-12, (name, got, want)
         if name != "rotor":  # the CPT images keep every complement class
-            joint = np.concatenate([_columns(image), _columns(frames["plus"][0])], axis=1)
+            joint = np.concatenate([image, frames["plus"][0]], axis=1)
             assert max(idx.shape[1] for idx, _ in _gram_blocks(n, l, joint)) <= 4
 
 
@@ -433,15 +445,54 @@ def test_blocked_frame_distance_on_one_dense_block():
     assert abs(got - want) < 1e-12 * max(1.0, want)
 
 
-def test_frame_product_trace_accepts_coefficient_columns():
+def test_frame_product_trace_matches_the_gram_oracle():
     for n, l in ((4, 4), (6, 3)):
-        ea, ca = rdm_frame(n, l, "plus")
-        eb, cb = rdm_frame(n, l, "minus")
-        cols_a, cols_b = _columns(ea), _columns(eb)
-        G = _scaled_gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
-        want = ca * cb * float((np.abs(G[: len(ea), len(ea):]) ** 2).sum())
+        cols_a, ca = rdm_frame(n, l, "plus")
+        cols_b, cb = rdm_frame(n, l, "minus")
+        m_a = cols_a.shape[1]
+        G = _gram_oracle(n, l, np.concatenate([cols_a, cols_b], axis=1))
+        want = ca * cb * float((np.abs(G[:m_a, m_a:]) ** 2).sum())
         assert frame_product_trace(n, l, cols_a, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
-        assert frame_product_trace(n, l, ea, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
+
+
+def _rdm_frame_oracle(n, l, boundary):
+    """Oracle: rdm_frame by Clifford products, P gamma_K for every K, stacked.
+
+    rdm_frame took this route before its closed form; it is kept only to
+    cross-check that form.
+    """
+    D = realized_dim(n)
+    eff = _effective_sign(boundary, n, l)
+    if eff == "omega":
+        return _stack([CliffordElement(n, {b: 1.0}) for b in range(1 << n)]), 1.0 / D**2
+    P = projectors_pm(n)[0 if eff == "plus" else 1]
+    return _stack([P * CliffordElement(n, {b: 1.0}) for b in range(1 << n)]), 2.0 / D**2
+
+
+def _flip_first_axis_oracle(B):
+    """Oracle: conjugation by the reflection of the first axis, on an element."""
+    return CliffordElement(B.n, {b: -c if b & 1 else c for b, c in B.coef.items()})
+
+
+def test_rdm_frame_matches_the_clifford_product_oracle():
+    for n in range(2, 11):
+        for l in (3, 4):
+            for boundary in BOUNDARIES:
+                cols, c = rdm_frame(n, l, boundary)
+                want, c_want = _rdm_frame_oracle(n, l, boundary)
+                assert cols.dtype == want.dtype
+                assert np.array_equal(cols, want), (n, l, boundary)
+                assert c == c_want
+    # the frame images are array expressions on the columns
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        elems = [rand_element(rng, n) for _ in range(4)]
+        cols = _stack(elems)
+        assert np.array_equal(cols.conj(), _stack([B.bar() for B in elems]))
+        assert np.array_equal(_sq_signs(n)[:, None] * cols,
+                              _stack([transpose_antiauto(B) for B in elems]))
+        assert np.array_equal(_axis_flip_signs(n)[:, None] * cols,
+                              _stack([_flip_first_axis_oracle(B) for B in elems]))
 
 
 # --- reduced density matrices ----------------------------------------------
@@ -449,7 +500,7 @@ def test_frame_product_trace_accepts_coefficient_columns():
 
 def test_rdm_matches_entrywise_oracle():
     for n, l, boundary in ((3, 2, "plus"), (4, 2, "omega"), (4, 3, "plus"), (4, 3, "minus")):
-        rho = dense_rho(n, l, boundary)
+        rho = reduced_density_matrix(n, l, boundary)
         strings = list(itertools.product(range(1, n + 1), repeat=l))
         for a, row in enumerate(strings):
             for b, col in enumerate(strings):
@@ -460,7 +511,7 @@ def test_rdm_matches_entrywise_oracle():
 def test_rdm_spot_entries_n6():
     rng = np.random.default_rng(13)
     n, l = 6, 3
-    rho = dense_rho(n, l, "plus")
+    rho = reduced_density_matrix(n, l, "plus")
     strings = list(itertools.product(range(1, n + 1), repeat=l))
     for _ in range(15):
         a, b = rng.integers(0, len(strings), size=2)
@@ -471,7 +522,7 @@ def test_rdm_spot_entries_n6():
 def test_rdm_invariants():
     for n, l in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)):
         for boundary in ("omega", "plus", "minus"):
-            rho = dense_rho(n, l, boundary)
+            rho = reduced_density_matrix(n, l, boundary)
             assert np.abs(rho - rho.conj().T).max() < 1e-12
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -479,13 +530,14 @@ def test_rdm_invariants():
 
 def test_rdm_odd_n_boundary_independent():
     for n, l in ((3, 2), (3, 3), (5, 2)):
-        r0 = dense_rho(n, l, "omega")
-        assert np.abs(r0 - dense_rho(n, l, "plus")).max() < 1e-13
-        assert np.abs(r0 - dense_rho(n, l, "minus")).max() < 1e-13
+        r0 = reduced_density_matrix(n, l, "omega")
+        assert np.abs(r0 - reduced_density_matrix(n, l, "plus")).max() < 1e-13
+        assert np.abs(r0 - reduced_density_matrix(n, l, "minus")).max() < 1e-13
 
 
 def test_rdm_states_equal_below_half_chain():
-    assert np.abs(dense_rho(6, 2, "plus") - dense_rho(6, 2, "minus")).max() < 1e-13
+    rp, rm = reduced_density_matrix(6, 2, "plus"), reduced_density_matrix(6, 2, "minus")
+    assert np.abs(rp - rm).max() < 1e-13
     ea, ca = rdm_frame(6, 2, "plus")
     eb, cb = rdm_frame(6, 2, "minus")
     assert frame_operator_distance(6, 2, ea, ca, eb, cb) < 1e-12
@@ -496,7 +548,7 @@ def test_rdm_cross_state_overlap_decays():
     # eigenvectors keep overlap (N_0 - N_n)/(N_0 + N_n), with N_k the number
     # of length-l generator strings multiplying to a grade-k monomial.
     # At n=4 the hand counts give Tr(rho+ rho-) = 1/256 (l=4), 1/4096 (l=6).
-    rp, rm = dense_rho(4, 4, "plus"), dense_rho(4, 4, "minus")
+    rp, rm = reduced_density_matrix(4, 4, "plus"), reduced_density_matrix(4, 4, "minus")
     assert abs(np.trace(rp @ rm).real - 1.0 / 256.0) < 1e-13
     ea, ca = rdm_frame(4, 4, "plus")
     eb, cb = rdm_frame(4, 4, "minus")
@@ -508,8 +560,8 @@ def test_rdm_cross_state_overlap_decays():
 
 def test_rdm_omega_is_even_mixture():
     n, l = 4, 3
-    mix = 0.5 * (dense_rho(n, l, "plus") + dense_rho(n, l, "minus"))
-    assert np.abs(dense_rho(n, l, "omega") - mix).max() < 1e-13
+    mix = 0.5 * (reduced_density_matrix(n, l, "plus") + reduced_density_matrix(n, l, "minus"))
+    assert np.abs(reduced_density_matrix(n, l, "omega") - mix).max() < 1e-13
 
 
 def _class_reps(n):
@@ -550,7 +602,7 @@ def _rdm_eigen_by_grade_oracle(n, l, boundary):
         elems = [P * CliffordElement(n, {b: 1.0}) for b in reps]
         labels = [b.bit_count() for b in reps]
         c = 2.0 * 2.0 / D**2  # factor 2: each class has two members
-    G = _scaled_gram_oracle(n, l, elems)
+    G = _gram_oracle(n, l, _stack(elems))
     keep = np.sqrt(np.abs(np.diag(G))) > 1e-12 * np.sqrt(np.abs(G).max())
     scale = np.abs(G).max() if G.size else 1.0
     out = []
@@ -582,7 +634,7 @@ def test_rdm_eigen_by_grade_matches_gram_oracle():
 def test_rdm_eigen_by_grade_n4():
     out = rdm_eigen_by_grade(4, 4, "plus")
     assert [(grade, round(mu, 10), m) for grade, mu, m in out] == [(0, 0.25, 1), (2, 0.25, 3)]
-    dense = np.linalg.eigvalsh(dense_rho(4, 4, "plus"))
+    dense = np.linalg.eigvalsh(reduced_density_matrix(4, 4, "plus"))
     nonzero = dense[dense > 1e-12]
     assert np.abs(nonzero - 0.25).max() < 1e-12
 
@@ -591,7 +643,7 @@ def test_rdm_eigen_by_grade_matches_dense():
     for n, l, boundary in ((3, 2, "plus"), (3, 3, "plus"), (4, 3, "minus"), (4, 2, "omega")):
         out = rdm_eigen_by_grade(n, l, boundary)
         got = sorted(np.repeat([mu for _, mu, _ in out], [m for _, _, m in out]))
-        dense = np.linalg.eigvalsh(dense_rho(n, l, boundary))
+        dense = np.linalg.eigvalsh(reduced_density_matrix(n, l, boundary))
         want = sorted(dense[dense > 1e-11])
         assert len(got) == len(want)
         assert np.abs(np.array(got) - np.array(want)).max() < 1e-10
@@ -644,19 +696,6 @@ def test_rdm_eigen_by_grade_n10_values_unchanged_by_scaling():
             got = rdm_eigen_by_grade(10, l, boundary)
             assert [(g, m) for g, _, m in got] == [(g, m) for g, _, m in rows]
             assert max(abs(a - b) for (_, a, _), (_, b, _) in zip(got, rows)) < 1e-12
-
-
-def test_gram_and_frame_distance_accept_coefficient_columns():
-    rng = np.random.default_rng(19)
-    n, l = 4, 3
-    elems = [rand_element(rng, n) for _ in range(5)]
-    cols = np.stack([coefvec(B) for B in elems], axis=1)
-    assert np.array_equal(gram_matrix(n, l, cols), gram_matrix(n, l, elems))
-    ea, ca = rdm_frame(n, l, "plus")
-    eb, cb = rdm_frame(n, l, "minus")
-    cols_b = np.stack([coefvec(B) for B in eb], axis=1)
-    want = frame_operator_distance(n, l, ea, ca, eb, cb)
-    assert frame_operator_distance(n, l, ea, ca, cols_b, cb) == pytest.approx(want, abs=1e-14)
 
 
 # --- structure of the family ----------------------------------------------

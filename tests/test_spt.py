@@ -20,7 +20,7 @@ from cliffchain.spt import (
     BondSymmetry,
     CptReport,
     _certify_lift,
-    _flip_first_axis,
+    _axis_flip_signs,
     _frame_verdict,
     _givens_factors,
     _random_rotation,
@@ -56,14 +56,15 @@ def rand_so(rng, n):
     return Q
 
 
-def _rotor_image_oracle(n, w, elems):
-    """Oracle: Pi B Pi^-1 for each element, by Clifford products.
+def _rotor_image_oracle(n, w, cols):
+    """Oracle: Pi B Pi^-1 for each coefficient column B, by Clifford products.
 
     The checks took this route before rotor_action; it costs O(4^n) sign
     merges per element and is kept only to cross-check the compound matrices.
     """
     Pi, Pi_inv = spin_lift(n, w)
-    return [Pi * B * Pi_inv for B in elems]
+    images = [Pi * element_from_coefvec(n, v) * Pi_inv for v in cols.T]
+    return np.stack([coefvec(B) for B in images], axis=1)
 
 
 def _spin_lift_oracle(n, w):
@@ -192,7 +193,7 @@ def test_axis_flip_matches_site_reflection():
         for _ in range(l - 1):
             W = np.kron(W, R)
         lhs = W @ mps_vector(fam, l, B)
-        rhs = mps_vector(fam, l, _flip_first_axis(B))
+        rhs = mps_vector(fam, l, element_from_coefvec(n, _axis_flip_signs(n) * coef))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -390,9 +391,7 @@ def test_rotor_action_matches_clifford_conjugation():
         for _ in range(2):
             w = rand_so(rng, n)
             R = rotor_action(n, w)
-            monomials = [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-            images = _rotor_image_oracle(n, w, monomials)
-            want = np.stack([coefvec(B) for B in images], axis=1)
+            want = _rotor_image_oracle(n, w, np.eye(1 << n))
             assert np.abs(R - want).max() < 1e-12
 
 
@@ -429,17 +428,16 @@ def test_frame_checks_match_the_clifford_product_oracle(n, l):
     for _ in range(rotations):
         Q = _random_rotation(rng, n)
         R = rotor_action(n, Q)
-        for elems, c in frames.values():
-            image = _rotor_image_oracle(n, Q, elems)
-            cols = np.stack([coefvec(B) for B in elems], axis=1)
-            assert np.abs(R @ cols - np.stack([coefvec(B) for B in image], axis=1)).max() < 1e-12
-            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, elems, c))
+        for cols, c in frames.values():
+            image = _rotor_image_oracle(n, Q, cols)
+            assert np.abs(R @ cols - image).max() < 1e-12
+            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, cols, c))
     assert abs(rep.numbers["rotation_residual"] - r_rot) < 1e-12
 
     verdict, res = time_reversal_check(n, l)
-    elems_p, _ = rdm_frame(n, l, "plus")
-    image = _rotor_image_oracle(n, theta_matrix(n), [B.bar() for B in elems_p])
-    want, r_fix, r_swap = _frame_verdict(n, l, image)
+    bar = [element_from_coefvec(n, v).bar() for v in frames["plus"][0].T]
+    image = _rotor_image_oracle(n, theta_matrix(n), np.stack([coefvec(B) for B in bar], axis=1))
+    want, r_fix, r_swap = _frame_verdict(n, l, image, frames["plus"], frames["minus"])
     assert verdict == (INVARIANT if want == FIXES else want)
     assert abs(res["time_reversal_fix"] - r_fix) < 1e-12
     assert abs(res["time_reversal_swap"] - r_swap) < 1e-12
