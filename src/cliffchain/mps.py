@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .checks import cluster_degeneracies
+from .checks import cluster_degeneracies, component_stacks
 from .clifford import (
     CliffordElement,
     _parity,
@@ -484,31 +485,17 @@ def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.
     Returns (idx, G) pairs: idx is a (count, size) array of column indices
     and G the (count, size, size) stack of their Grams, built from each
     block's support rows only.  Blocks with the same number of columns and
-    of support rows share one stack.  A column with no weighted support is
+    of support rows share one stack (checks.component_stacks).  A column with no weighted support is
     the zero state and lies in no block.
     """
-    # imported here so that importing cliffchain does not load csgraph
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     dim, m = cols.shape
     kern = _grade_kernel(n, l)[_grades(n)]
     rows, cs = np.nonzero((cols != 0) & (kern != 0)[:, None])
-    graph = coo_matrix((np.ones(rows.size), (cs, m + rows)), shape=(m + dim, m + dim))
-    count, labels = connected_components(graph, directed=False)
-    live_cols, live_rows = np.unique(cs), np.unique(rows)
-    col_lab, row_lab = labels[live_cols], labels[m + live_rows]
-    ncol = np.bincount(col_lab, minlength=count)
-    nrow = np.bincount(row_lab, minlength=count)
-    col_order = live_cols[np.argsort(col_lab, kind="stable")]
-    row_order = live_rows[np.argsort(row_lab, kind="stable")]
-    col_start, row_start = np.cumsum(ncol) - ncol, np.cumsum(nrow) - nrow
+    graph = sp.coo_matrix((np.ones(rows.size), (cs, m + rows)), shape=(m + dim, m + dim))
     D2 = realized_dim(n) ** 2
     blocks = []
-    for size, height in sorted(set(zip(ncol[ncol > 0].tolist(), nrow[ncol > 0].tolist()))):
-        labs = np.flatnonzero((ncol == size) & (nrow == height))
-        idx = col_order[col_start[labs][:, None] + np.arange(size)]
-        ridx = row_order[row_start[labs][:, None] + np.arange(height)]
+    for idx, nodes in component_stacks(graph, np.unique(cs), m + np.unique(rows)):
+        ridx = nodes - m
         X = cols[ridx[:, :, None], idx[:, None, :]]
         XH = X.conj().transpose(0, 2, 1)
         G = D2 * (XH @ (kern[ridx][:, :, None] * X))

@@ -7,7 +7,8 @@ density-matrix checks run on the coefficient columns of mps.rdm_frame, so
 no state vector is ever built.  Each image of a frame is an array
 expression: bar is cols.conj(), transpose_antiauto the reversal sign of
 each row, the axis flip -1 on the rows that hold gamma_1, and a rotor
-rotor_action(n, w) @ cols.  Each frame distance is the largest over the
+rotor_action(n, w) @ cols, or for the signed permutation theta a row
+gather times a sign.  Each frame distance is the largest over the
 support-connected blocks of the frame (mps.frame_operator_distance): bar,
 transpose_antiauto, the axis flip and the rotor of theta keep every
 complement class {K, K^c}, so those blocks have at most four columns, and
@@ -247,6 +248,41 @@ def rotor_action(n: int, w: np.ndarray) -> np.ndarray:
         minors = w[idx[:, None, :, None], idx[None, :, None, :]]
         R[np.ix_(sel, sel)] = np.linalg.det(minors)
     return R
+
+
+def _signed_permutation_action(n: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rotor_action(n, w) as a row gather and a sign, for a signed permutation w.
+
+    If column c of w holds its one nonzero s_c = +-1 in row p(c), then
+    Pi gamma_c Pi^-1 = s_c gamma_p(c), so Pi gamma_I Pi^-1 is the product of
+    the s_c gamma_p(c) over c in I ascending, +-gamma_p(I).  The sign of
+    each right factor is bit p(c) of _suffix_parity of the product so far
+    (_sign_right), the one sign routine.  Returns (src, sign) with
+
+        rotor_action(n, w) @ cols == sign[:, None] * cols[src]
+
+    in O(n 2^n), with no 2^n x 2^n matrix.  Raises ValueError unless w is a
+    signed permutation in SO(n).
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n, n):
+        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
+    _require_special_orthogonal(w)
+    nonzero = w != 0
+    if np.any(nonzero.sum(axis=0) != 1) or np.any(np.abs(w[nonzero]) != 1):
+        raise ValueError("rotation is not a signed permutation")
+    rows = np.argmax(nonzero, axis=0)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    target = np.zeros(1 << n, dtype=np.uint32)
+    sign = np.ones(1 << n, dtype=np.int8)
+    for c in range(n):
+        has = ((masks >> np.uint32(c)) & np.uint32(1)).astype(bool)
+        step = int(w[rows[c], c]) * _sign_right(int(rows[c]), target)
+        sign = np.where(has, sign * step, sign)
+        target = np.where(has, target ^ np.uint32(1 << int(rows[c])), target)
+    src = np.empty(1 << n, dtype=np.intp)
+    src[target] = masks
+    return src, sign[src]
 
 
 @dataclass(frozen=True)
@@ -506,6 +542,8 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
     theta has determinant 1, and every special rotation fixes each of rho+-,
     so the verdict always equals the conjugation verdict.  The rotor of theta
     is certified by _certify_lift; its margin is reported as lift_residual.
+    theta is a signed permutation, so its rotor acts on the frame as a row
+    gather times a sign (_signed_permutation_action).
     """
     _require_even_n(n)
     th = theta_matrix(n)
@@ -519,7 +557,8 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
 
     r_lift = _certify_lift(n, th, _rotor_coefficients(n, th))
     plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
-    image = rotor_action(n, th) @ plus[0].conj()
+    src, sign = _signed_permutation_action(n, th)
+    image = sign[:, None] * plus[0][src].conj()
     verdict, r_fix, r_swap = _frame_verdict(n, l, image, plus, minus)
     verdict = INVARIANT if verdict == FIXES else verdict
     return verdict, {

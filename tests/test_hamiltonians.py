@@ -254,6 +254,78 @@ def test_kernel_basis_is_dense_and_real_for_real_chains():
         kernel_basis(sp.identity(DENSE_EIG_CAP + 1, format="csr"))
 
 
+def _kernel_basis_oracle(H, tol=1e-10):
+    """Oracle: kernel of H from one dense eigh of the whole matrix.
+
+    kernel_basis took this route before it split H into support-connected
+    blocks; the cut-off is the same, tol times the norm bound of H.
+    """
+    Hd = np.asarray(H.toarray() if sp.issparse(H) else H)
+    Hd = Hd if np.any(Hd.imag) else Hd.real
+    tol_eff = tol * max(1.0, float(np.max(np.sum(np.abs(Hd), axis=1))))
+    vals, vecs = np.linalg.eigh(Hd)
+    keep = np.abs(vals) < tol_eff
+    kept = float(np.max(np.abs(vals[keep]), initial=0.0))
+    dropped = float(np.min(np.abs(vals[~keep]), initial=np.inf))
+    return vecs[:, keep], kept, dropped
+
+
+def _planted_blocks(coupling=1e-300):
+    # two blocks of sizes 4 and 5 (the second of rank 4), joined only by
+    # one tiny coupling, which must still merge them
+    rng = np.random.default_rng(67)
+    a, b = rng.standard_normal((4, 4)), rng.standard_normal((5, 4))
+    H = np.zeros((9, 9))
+    H[np.ix_([0, 2, 3, 4], [0, 2, 3, 4])] = a @ a.T
+    H[np.ix_([1, 5, 6, 7, 8], [1, 5, 6, 7, 8])] = b @ b.T
+    H[2, 5] = H[5, 2] = coupling
+    return H
+
+
+def _random_hermitian():
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    B = A[:, :30] @ A[:, :30].conj().T  # rank 30, kernel of dimension 10
+    return 0.5 * (B + B.conj().T)
+
+
+def _shifted_chain(spec, l):
+    h, d = _psd_term(spec), spec.local_dim
+    return sum(embedded_term(h, l, x, d) for x in range(l - spec.support + 1))
+
+
+@pytest.mark.parametrize("make, dim, blocks", [
+    *[(lambda n=n, l=l: chain_hamiltonian(so_n_aklt(n), l).matrix, 2 ** (n - 1), 2 ** (n - 1))
+      for n, l in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (5, 4))],
+    (lambda: chain_hamiltonian(aklt_su2(), 4).matrix, 4, None),
+    *[(lambda l=l: chain_hamiltonian(majumdar_ghosh(), l).matrix, dim, None)
+      for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
+    # the twisted term has an empty kernel: only dropped_min is a margin
+    (lambda: _shifted_chain(swap_q(3, 1.0, 0.3), 4), 0, None),
+    (_random_hermitian, 10, 1),
+    (_planted_blocks, 1, 1),
+])
+def test_kernel_basis_matches_the_unblocked_oracle(make, dim, blocks):
+    H = make()
+    K = kernel_basis(H)
+    V, kept, dropped = _kernel_basis_oracle(H)
+    assert K.dim == V.shape[1] == dim
+    assert projector_distance(K.vectors, V) < 1e-12
+    # kept values are rounding noise, so both margins are compared relative
+    # to the spectral scale, not to themselves
+    scale = max(1.0, dropped)
+    assert abs(K.kept_max - kept) <= 1e-12 * scale
+    assert abs(K.dropped_min - dropped) <= 1e-12 * scale
+    assert sum(K.blocks) == H.shape[0]
+    if blocks is not None:
+        assert len(K.blocks) == blocks
+
+
+def test_kernel_basis_splits_only_on_exact_zeros():
+    assert kernel_basis(_planted_blocks(0.0)).blocks == (4, 5)
+    assert kernel_basis(_planted_blocks()).blocks == (9,)
+
+
 def _psd_term(spec):
     h = build_interaction(spec)
     return h - np.min(np.linalg.eigvalsh(h)) * np.eye(h.shape[0])
@@ -331,6 +403,10 @@ def test_frustration_free_aklt():
     assert rep.numbers["kernel_dim"] == 4
     assert rep.numbers["intersection_dim"] == 4
     assert abs(rep.numbers["ground_energy"]) < 1e-9
+    # what set the oracle's cost: four colour-parity sectors of the 3^4 = 81
+    # states, the largest of 21
+    assert rep.numbers["oracle_blocks"] == 4
+    assert rep.numbers["oracle_largest_block"] == 21
 
 
 def test_frustration_free_fails_for_twisted_swap():

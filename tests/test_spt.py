@@ -25,6 +25,7 @@ from cliffchain.spt import (
     _givens_factors,
     _random_rotation,
     _rotor_coefficients,
+    _signed_permutation_action,
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
@@ -415,6 +416,34 @@ def test_rotor_action_rejects_matrices_outside_so_n():
         rotor_action(3, np.eye(3) * 2.0)
     with pytest.raises(ValueError):
         rotor_action(4, np.eye(3))
+
+
+def test_signed_permutation_action_is_the_rotor_action_of_theta():
+    rng = np.random.default_rng(59)
+    for n in range(2, 13, 2):
+        cols = rng.standard_normal((1 << n, 5)) + 1j * rng.standard_normal((1 << n, 5))
+        cols[rng.random(cols.shape) < 0.3] = 0.0
+        src, sign = _signed_permutation_action(n, theta_matrix(n))
+        assert np.array_equal(rotor_action(n, theta_matrix(n)) @ cols, sign[:, None] * cols[src])
+
+
+def test_signed_permutation_action_rejects_other_matrices():
+    with pytest.raises(ValueError):
+        _signed_permutation_action(4, rand_so(np.random.default_rng(61), 4))
+    with pytest.raises(ValueError):
+        _signed_permutation_action(3, np.diag([-1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (6, 6), (8, 8), (10, 10)))
+def test_time_reversal_residuals_match_the_dense_rotor(n, l):
+    # the row gather of theta gives the same image as the dense compound
+    # matrix, so every residual is bit-identical
+    verdict, res = time_reversal_check(n, l)
+    plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
+    image = rotor_action(n, theta_matrix(n)) @ plus[0].conj()
+    want, r_fix, r_swap = _frame_verdict(n, l, image, plus, minus)
+    assert verdict == (INVARIANT if want == FIXES else want)
+    assert (res["time_reversal_fix"], res["time_reversal_swap"]) == (r_fix, r_swap)
 
 
 @pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (6, 6)))
