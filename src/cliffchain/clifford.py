@@ -5,9 +5,12 @@ Basis monomials gamma_I = gamma_{i_1}...gamma_{i_k} (i_1 < ... < i_k) are encode
 as bitmasks, so products reduce to XOR plus a sign from counting transpositions.
 Every sign comes from one word: bit t of _suffix_parity(I) is the parity of
 the generators of I above t, and gamma_I gamma_J = (-1)^parity(word & J)
-gamma_{I xor J}.  Products, gamma_mul and the generator moves on coefficient
-vectors (_sign_left, _sign_right) all use it; realize does not, so the
-matrix realization stays an independent check.
+gamma_{I xor J}.  Products, gamma_mul, the generator moves on coefficient
+vectors (_sign_left, _sign_right) and the batched pair products on
+coefficient arrays (_pair_products) all use it; realize and the stacked
+monomial images (_monomial_stack) do not, so the matrix realization stays an
+independent check.  The clifford-selftest campaign checks the array form of
+the rule, in batch, against that sign-free realization.
 Elements are sparse complex combinations of monomials.  Everything here is pure
 and allocation-cheap; the matrix realization exists only as an independent
 cross-check and for code that genuinely needs operators on C^D.
@@ -121,6 +124,28 @@ def _sign_right(g: int, bits: np.ndarray) -> np.ndarray:
     """Sign of gamma_K * gamma_g for each K: bit g of _suffix_parity(K)."""
     word = _suffix_parity(bits.astype(np.uint32, copy=False))
     return (1 - 2 * ((word >> np.uint32(g)) & np.uint32(1))).astype(np.int8)
+
+
+def _pair_products(ia: np.ndarray, ca: np.ndarray, ib: np.ndarray, cb: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Coefficient rows of the S products a_s b_s, as an (S, 2^n) array.
+
+    Row s of ia / ca holds the monomial masks and coefficients of a_s, and
+    row s of ib / cb those of b_s; a mask repeated within a row adds.  Each
+    term pair gamma_I gamma_J lands on I xor J with the sign
+    parity(_suffix_parity(I) & J), the rule of __mul__, and the terms are
+    summed by bincount on their real and imaginary parts.
+    """
+    I = np.asarray(ia, dtype=np.uint32)[:, :, np.newaxis]
+    J = np.asarray(ib, dtype=np.uint32)[:, np.newaxis, :]
+    samples, size = I.shape[0], 1 << n
+    sign = 1.0 - 2.0 * _parity(_suffix_parity(I) & J)
+    terms = (sign * np.asarray(ca)[:, :, np.newaxis] * np.asarray(cb)[:, np.newaxis, :]).ravel()
+    rows = np.arange(samples, dtype=np.intp)[:, np.newaxis, np.newaxis] * size
+    target = (rows + (I ^ J)).ravel()
+    re = np.bincount(target, weights=terms.real, minlength=samples * size)
+    im = np.bincount(target, weights=terms.imag, minlength=samples * size)
+    return (re + 1j * im).reshape(samples, size)
 
 
 def gamma_mul(I: GammaIndex, J: GammaIndex) -> tuple[int, GammaIndex]:
@@ -411,3 +436,13 @@ def realize(B: CliffordElement, rep: MatrixRealization | None = None) -> np.ndar
     for b, c in B.coef.items():
         out += c * rep.monomial(b)
     return out
+
+
+def _monomial_stack(rep: MatrixRealization) -> np.ndarray:
+    """Every realized monomial, rep.monomial(b) at index b: a (2^n, D, D) array.
+
+    Built from the monomial images alone, with no sign code, so that
+    coefs @ stack.reshape(2^n, D * D) realizes a batch of coefficient rows
+    as independently of the product rule as realize does.
+    """
+    return np.stack([rep.monomial(b) for b in range(1 << rep.n)])

@@ -239,6 +239,7 @@ class KernelBasis:
     kept_max is the largest value taken as kernel and dropped_min the
     smallest value above the cut-off tol: eigenvalue moduli over all blocks
     for kernel_basis, singular values over all steps for chain_kernel.
+    Report rows carry tol as cutoff, between kept_max and dropped_min.
     blocks holds the size of each diagonal block kernel_basis solved; it is
     empty for chain_kernel.
     """
@@ -431,7 +432,8 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
     """Chain kernel against the bond-algebra state span, dims and distance.
 
     The kernel comes from chain_kernel; tol is its cut-off, relative to the
-    norm bound of the local term.
+    norm bound of the local term, and the absolute cut-off is reported as
+    cutoff.
     """
     if n**l > cap:
         raise ValueError(f"chain dimension {n}^{l} exceeds the cap {cap}")
@@ -447,6 +449,7 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
         "projector_distance": dist,
         "max_residual": float(np.max(K.residuals)) if K.dim else 0.0,
         "kept_max": K.kept_max,
+        "cutoff": K.tol,
         "dropped_min": K.dropped_min,
     }
     return VerificationReport(f"parent_check(n={n}, l={l})", passed, numbers)
@@ -462,7 +465,8 @@ def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_C
     the chain is frustration free (its kernel is not empty) is a separate
     number in the payload, and ground_energy is the lowest eigenvalue modulus
     of the shifted chain.  tol is the cut-off of both kernels, relative to
-    the norm bound of the chain and of the term.
+    the norm bound of the chain and of the term; the absolute cut-offs are
+    reported as oracle_cutoff and cutoff.
     """
     d = spec.local_dim
     if d**l > cap:
@@ -485,8 +489,10 @@ def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_C
         "term_shift": -shift,
         "frustration_free": 1.0 if K.dim else 0.0,
         "kept_max": inter.kept_max,
+        "cutoff": inter.tol,
         "dropped_min": inter.dropped_min,
         "oracle_kept_max": K.kept_max,
+        "oracle_cutoff": K.tol,
         "oracle_dropped_min": K.dropped_min,
         "oracle_blocks": float(len(K.blocks)),
         "oracle_largest_block": float(max(K.blocks, default=0)),

@@ -26,7 +26,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .clifford import CliffordElement, gamma0, realize, trace
+from .clifford import (
+    CliffordElement,
+    _monomial_stack,
+    _pair_products,
+    gamma0,
+    matrix_rep,
+    realize,
+    realized_dim,
+)
 from .hamiltonians import (
     DENSE_EIG_CAP,
     aklt_su2,
@@ -77,6 +85,7 @@ DEFAULT_CAP_SPARSE = 16_000
 # grid guard for the heavier batteries
 PIERI_MAX_N = 6
 SELFTEST_SAMPLES = 500
+SELFTEST_MAX_N = 10
 CORRELATOR_RANGE = range(2, 13)
 
 
@@ -418,6 +427,7 @@ def _report_row(report):
 
 def _margins(kernels) -> dict:
     return {"kept_max": max(K.kept_max for K in kernels),
+            "cutoff": max(K.tol for K in kernels),
             "dropped_min": min(K.dropped_min for K in kernels)}
 
 
@@ -534,34 +544,43 @@ def _check_on_site_breaking(ctx, n, l):
 # ---------------------------------------------------------------------------
 
 
-def _random_element(n: int, rng: np.random.Generator) -> CliffordElement:
-    terms = min(1 << n, 12)
-    idx = rng.choice(1 << n, size=terms, replace=False)
-    coefs = rng.standard_normal(terms) + 1.0j * rng.standard_normal(terms)
-    return CliffordElement(n, {int(b): complex(c) for b, c in zip(idx, coefs)})
 def _check_matrix_oracle(ctx, n, l):
+    """The array sign rule against the sign-free realization, on S pairs at once.
+
+    All 2S elements are drawn in one call (distinct uniform monomials,
+    complex Gaussian coefficients); a_s b_s comes from _pair_products, and
+    the realizations from the stacked monomial images, which use no sign
+    code.  The trace is checked on all 2S elements.
+    """
     seed = ctx.config.seed
     rng = np.random.default_rng((seed, n))
+    size, samples = 1 << n, SELFTEST_SAMPLES
+    terms = min(size, 12)
+    idx = np.argsort(rng.random((2 * samples, size)), axis=1)[:, :terms]
+    coefs = rng.standard_normal((2 * samples, terms)) + 1.0j * rng.standard_normal(
+        (2 * samples, terms))
+    dense = np.zeros((2 * samples, size), dtype=complex)
+    np.put_along_axis(dense, idx, coefs, axis=1)
+    a, b = slice(0, samples), slice(samples, None)
+
+    dim = realized_dim(n)
+    flat = _monomial_stack(matrix_rep(n)).reshape(size, dim * dim)
+    mats = (dense @ flat).reshape(2 * samples, dim, dim)
+    left = (_pair_products(idx[a], coefs[a], idx[b], coefs[b], n) @ flat).reshape(
+        samples, dim, dim)
+    right = mats[a] @ mats[b]
+    scale = np.maximum(1.0, np.abs(right).max(axis=(1, 2)))
+    worst_prod = float((np.abs(left - right).max(axis=(1, 2)) / scale).max())
+
     # at odd n the top word realizes to a scalar, so the matrix
     # trace also sees the full-mask coefficient
-    full = (1 << n) - 1
+    full = size - 1
     alias = 0.0 if n % 2 == 0 else 1.0 / gamma0(n).coef[full]
-    dim = realize(CliffordElement.one(n)).shape[0]
-    worst_prod = 0.0
-    worst_trace = 0.0
-    for _ in range(SELFTEST_SAMPLES):
-        a = _random_element(n, rng)
-        b = _random_element(n, rng)
-        left = realize(a * b)
-        right = realize(a) @ realize(b)
-        scale = max(1.0, float(np.abs(right).max()))
-        worst_prod = max(worst_prod, float(np.abs(left - right).max()) / scale)
-        tr = trace(a) + dim * alias * a.coef.get(full, 0.0)
-        mat_tr = complex(np.trace(realize(a)))
-        tscale = max(1.0, abs(mat_tr))
-        worst_trace = max(worst_trace, abs(tr - mat_tr) / tscale)
+    tr = dim * (dense[:, 0] + alias * dense[:, full])
+    mat_tr = np.einsum("sii->s", mats)
+    worst_trace = float((np.abs(tr - mat_tr) / np.maximum(1.0, np.abs(mat_tr))).max())
     numbers = {
-        "samples": SELFTEST_SAMPLES,
+        "samples": samples,
         "max_product_rel": worst_prod,
         "max_trace_rel": worst_trace,
         "seed": seed,
@@ -689,9 +708,9 @@ _CHECKS = tuple(_Check(*entry) for entry in (
     ("cpt", "time-reversal", _cpt_grid, _even_n, _check_time_reversal),
     ("cpt", "on-site-breaking", _cpt_grid, _even_n, _check_on_site_breaking),
     ("clifford-selftest", "matrix-oracle", _each_n,
-     lambda ctx, n, l: _cap_exceeded(n > 8), _check_matrix_oracle),
-    ("clifford-selftest", "anticommutation", _each_n, lambda ctx, n, l: n <= 8,
-     _check_anticommutation),
+     lambda ctx, n, l: _cap_exceeded(n > SELFTEST_MAX_N), _check_matrix_oracle),
+    ("clifford-selftest", "anticommutation", _each_n,
+     lambda ctx, n, l: n <= SELFTEST_MAX_N, _check_anticommutation),
     ("repr-dims", "cg-dimension-sum", _at((None, None)), None, _check_cg_dimension_sum),
     ("repr-dims", "isotypic-vector-pair", _at((3, None), (5, None)), None,
      _check_isotypic_vector_pair),

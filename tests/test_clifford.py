@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from cliffchain import clifford
 from cliffchain.clifford import (
     CliffordElement,
     GammaIndex,
+    MatrixRealization,
     _merge_sign,
+    _monomial_stack,
+    _pair_products,
     _parity,
     _sign_left,
     _sign_right,
@@ -297,6 +301,96 @@ def test_monomial_images_equal_ascending_products_and_are_read_only():
             assert np.array_equal(img, want)
             assert not img.flags.writeable
             assert rep.monomial(bits) is img  # kept per realization
+
+
+def _dense_row(B):
+    row = np.zeros(1 << B.n, dtype=complex)
+    for b, c in B.coef.items():
+        row[b] = c
+    return row
+
+
+def _element(n, masks, coefs):
+    """The element sum_k coefs[k] gamma_{masks[k]}; repeated masks add."""
+    coef = {}
+    for b, c in zip(masks.tolist(), coefs.tolist()):
+        coef[b] = coef.get(b, 0.0) + c
+    return CliffordElement(n, coef)
+
+
+def _assert_pair_products_match_mul(n, ia, ca, ib, cb):
+    got = _pair_products(ia, ca, ib, cb, n)
+    assert got.shape == (len(ia), 1 << n)
+    for s in range(len(ia)):
+        want = _dense_row(_element(n, ia[s], ca[s]) * _element(n, ib[s], cb[s]))
+        assert np.abs(got[s] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _random_terms(rng, n, samples, terms, distinct=True):
+    size = 1 << n
+    if distinct:
+        masks = np.argsort(rng.random((samples, size)), axis=1)[:, :terms]
+    else:
+        masks = rng.integers(0, size, size=(samples, terms))
+    coefs = rng.standard_normal((samples, terms)) + 1j * rng.standard_normal((samples, terms))
+    return masks, coefs
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_products_match_mul(n):
+    rng = np.random.default_rng(100 + n)
+    terms = min(1 << n, 12)
+    ia, ca = _random_terms(rng, n, 20, terms)
+    ib, cb = _random_terms(rng, n, 20, terms)
+    _assert_pair_products_match_mul(n, ia, ca, ib, cb)
+    # one-term factors on either side, and factors of different lengths
+    ja, da = _random_terms(rng, n, 10, 1)
+    jb, db = _random_terms(rng, n, 10, 5, distinct=False)
+    _assert_pair_products_match_mul(n, ja, da, jb, db)
+    _assert_pair_products_match_mul(n, jb, db, ja, da)
+    # repeated monomials within a row add before the product
+    ra, rca = _random_terms(rng, n, 10, 8, distinct=False)
+    ra[:, 1] = ra[:, 0]
+    _assert_pair_products_match_mul(n, ra, rca, ib[:10], cb[:10])
+
+
+def test_pair_products_match_mul_on_sparse_pairs_at_n16():
+    rng = np.random.default_rng(216)
+    ia, ca = _random_terms(rng, 16, 4, 6, distinct=False)
+    ib, cb = _random_terms(rng, 16, 4, 6, distinct=False)
+    ia[0, 2] = ia[0, 0]
+    _assert_pair_products_match_mul(16, ia, ca, ib, cb)
+    top = np.array([[(1 << 16) - 1]])
+    _assert_pair_products_match_mul(16, top, np.ones((1, 1)), top, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_monomial_stack_realizes_like_realize(n):
+    rep = matrix_rep(n)
+    stack = _monomial_stack(rep)
+    assert stack.shape == (1 << n, rep.dim, rep.dim)
+    flat = stack.reshape(1 << n, rep.dim**2)
+    rng = np.random.default_rng(300 + n)
+    masks, coefs = _random_terms(rng, n, 8, min(1 << n, 12), distinct=False)
+    for m, c in zip(masks, coefs):
+        B = _element(n, m, c)
+        got = (_dense_row(B) @ flat).reshape(rep.dim, rep.dim)
+        assert np.abs(got - realize(B, rep)).max() <= 1e-12 * max(1.0, np.abs(got).max())
+
+
+def test_monomial_stack_uses_no_sign_code(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sign code reached from the realization")
+
+    for name in ("_suffix_parity", "_parity", "_merge_sign"):
+        monkeypatch.setattr(clifford, name, refuse)
+    for n in (2, 5, 8):
+        rep = matrix_rep(n)
+        # a fresh realization, so that no image comes from the cache
+        fresh = MatrixRealization(n, rep.dim, rep.gammas)
+        stack = _monomial_stack(fresh)
+        for bits in range(1 << n):
+            assert np.array_equal(stack[bits], rep.monomial(bits))
 
 
 def test_parity_table_counts_bits():

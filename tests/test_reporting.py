@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cliffchain import reporting
+from cliffchain import clifford, reporting
 from cliffchain.checks import VerificationReport
 from cliffchain.reporting import (
     CampaignConfig,
@@ -93,6 +93,32 @@ def test_selftest_deterministic_given_seed():
     assert na["seed"] == 7 and nc["seed"] == 8
 
 
+def test_matrix_oracle_catches_a_wrong_sign_word(monkeypatch):
+    right_word = clifford._suffix_parity
+    monkeypatch.setattr(clifford, "_suffix_parity", lambda bits: right_word(bits) ^ 1)
+    report = run_campaign(CampaignConfig("clifford-selftest", n_list=(4, 7)))
+    for n in (4, 7):
+        oracle = _row(report, "matrix-oracle", n, None)
+        assert oracle["status"] == "fail"
+        assert oracle["numbers"]["max_product_rel"] > 1e-10
+        # the realization side uses no sign code, so it is not affected
+        assert oracle["numbers"]["max_trace_rel"] < 1e-14
+        assert _row(report, "anticommutation", n, None)["status"] == "pass"
+
+
+def test_selftest_covers_n_up_to_ten():
+    report = run_campaign(CampaignConfig("clifford-selftest", n_list=(9, 10, 11)))
+    for n in (9, 10):
+        oracle = _row(report, "matrix-oracle", n, None)
+        assert oracle["status"] == "pass"
+        assert oracle["numbers"]["samples"] == 500
+        assert oracle["numbers"]["max_product_rel"] < 1e-14
+        assert oracle["numbers"]["max_trace_rel"] < 1e-14
+        assert _row(report, "anticommutation", n, None)["status"] == "pass"
+    assert _row(report, "matrix-oracle", 11, None)["notes"] == "cap-exceeded"
+    assert [r["name"] for r in report["checks"] if r["n"] == 11] == ["matrix-oracle"]
+
+
 def test_parent_campaign_skips_are_reported(tmp_path):
     report = run_campaign(CampaignConfig("parent", n_list=(6,)))
     skipped = [r for r in report["checks"] if r["status"] == "skip"]
@@ -172,6 +198,22 @@ def test_tol_kernel_reaches_the_parent_check():
     assert _row(loose, "parent-kernel", 3, 4)["numbers"]["kernel_dim"] > 4
     default = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(4,)))
     assert _row(default, "parent-kernel", 3, 4)["status"] == "pass"
+
+
+def test_kernel_rows_report_the_cutoff_between_their_margins():
+    report = run_campaign(CampaignConfig("parent", n_list=(2, 3, 4)))
+    pairs = 0
+    for row in report["checks"]:
+        numbers = row["numbers"]
+        for prefix in ("", "oracle_"):
+            if prefix + "cutoff" in numbers:
+                kept, dropped = numbers[prefix + "kept_max"], numbers[prefix + "dropped_min"]
+                assert kept <= numbers[prefix + "cutoff"] < dropped
+                pairs += 1
+    names = {r["name"] for r in report["checks"] if "cutoff" in r["numbers"]}
+    assert names == {"dimer-kernel-dims", "spin1-kernel-dim", "parent-kernel", "frustration-free"}
+    assert pairs > len(names)
+    assert _row(report, "parent-kernel", 3, 4)["numbers"]["cutoff"] == pytest.approx(1e-10 * 8 / 3)
 
 
 def test_cap_sparse_is_the_parent_cap():
