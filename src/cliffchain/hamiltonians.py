@@ -2,8 +2,11 @@
 
 Chains are assembled as sparse sums of embedded local terms.  The kernel of
 an open chain of PSD terms is the intersection of the term kernels, and
-chain_kernel grows it one site at a time from thin SVDs, with the singular
-values on both sides of its cut-off as the certificate.  kernel_basis, the
+chain_kernel grows it one site at a time as an isometric MPS.  By the
+isometry lemma in its docstring, each step's rank decision is one SVD of an
+(r_k d^s) x (r_m d) bond-space matrix, with the singular values and right
+singular vectors of the d^(m+1)-row chain matrix, and the singular values on
+both sides of the cut-off are the certificate.  kernel_basis, the
 oracle it is checked against, eigensolves the assembled chain up to
 DENSE_EIG_CAP, block by block: the connected components of the support
 graph of H make it block diagonal (the direct-sum lemma in kernel_basis),
@@ -23,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .checks import VerificationReport, component_stacks
 from .checks import cluster_degeneracies  # noqa: F401 (part of this module's API)
-from .mps import MpsFamily, mps_vector
+from .mps import MpsFamily, basis_states
 from .so_n import casimir_su2_pair, spin_matrices
 
 CHAIN_DIM_CAP = 2_000_000
@@ -347,32 +350,75 @@ def _apply_term(h: np.ndarray, X: np.ndarray, x: int, d: int) -> np.ndarray:
     return (h @ X.reshape(d**x, h.shape[0], -1)).reshape(X.shape)
 
 
+def _contract(tensors: list[np.ndarray], r0: int, d: int) -> np.ndarray:
+    """(1_{r0} x 1_{d^j}) N_1 ... N_j for site tensors N_i of shape (r_{i-1} d, r_i).
+
+    The result is the (r0 d^j) x r_j matrix of the chain of tensors; with
+    no tensor it is the identity on r0.
+    """
+    X = np.eye(r0)
+    for N in tensors:
+        r, r_next = X.shape[1], N.shape[1]
+        X = (X @ N.reshape(r, d * r_next)).reshape(X.shape[0] * d, r_next)
+    return X
+
+
 def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBasis:
-    """Kernel of the open chain sum_x h_x of a PSD term, grown site by site.
+    """Kernel of the open chain sum_x h_x of a PSD term, grown site by site in bond space.
 
     ker H is the intersection of the ker h_x, so a kernel basis V_m on m
-    sites extends as V_{m+1} = (V_m x 1_d) N, where N spans the null space
-    of (1 x h)(V_m x 1_d).  The rank comes from the singular values of that
-    d^(m+1) x (r d) matrix against tol times the norm bound of h; no
-    d^l x d^l array is formed.  The first step, from the identity on
-    support-1 sites, gives ker h.
+    sites extends as V_{m+1} = (V_m x 1_d) N_{m+1}, where N_{m+1} spans the
+    null space of the chain matrix (1 x h)(V_m x 1_d).  V_m is kept as an
+    isometric MPS, the list of site tensors N_j of shape (r_{j-1} d, r_j)
+    with r_0 = 1.  With s the support of h, the first s-1 tensors are
+    identities, so V_{s-1} is the identity on d^(s-1).
+
+    Lemma.  Let k = m+1-s.  Then V_m =
+    (V_k x 1_{d^(s-1)}) B_m, where B_m, of shape (r_k d^(s-1), r_m), is the
+    isometry contracted from the last s-1 tensors N_{k+1}..N_m.  Since h
+    acts on the last s sites only,
+
+        (1 x h)(V_m x 1_d) = (V_k x 1_{d^s}) [(1_{r_k} x h)(B_m x 1_d)].
+
+    The left factor is an isometry, so the bracket, an (r_k d^s) x (r_m d)
+    matrix, has the same singular values and the same right singular
+    vectors as the d^(m+1)-row chain matrix: N_{m+1}, kept_max and
+    dropped_min are those of the chain matrix.  The bracket is at least as
+    tall as it is wide, because r_m <= r_{m-1} d gives r_m <= r_k d^(s-1),
+    so its thin SVD gives a singular value for every column.
+
+    Each step is one SVD of the bracket, with the rank read against tol
+    times the norm bound of h; no matrix with d^(m+1) rows is factored and
+    no d^l x d^l array is formed.  The first step, from the identity on
+    s-1 sites, gives ker h.  Once a step leaves no null vector the kernel
+    is empty at every longer length, and the remaining steps are skipped.
+    V_l is assembled once at the end, and its residuals ||H v|| on the
+    whole chain are the end-to-end certificate.
     """
     support = _support(h, d)
     if l < support:
         raise ValueError(f"chain length {l} shorter than the term support {support}")
     h = _real_if_exact(np.asarray(h))
     tol_eff = tol * max(1.0, _norm_bound(h))
-    V = np.eye(d ** (support - 1), dtype=h.dtype)
+    tensors = [np.eye(d**j, dtype=h.dtype) for j in range(1, support)]
+    ranks = [d**j for j in range(support)]
+    h4 = h.reshape(d ** (support - 1), d, d ** (support - 1), d)
     kept, dropped = 0.0, math.inf
     for m in range(support - 1, l):
-        r = V.shape[1]
-        M = _apply_term(h, np.kron(V, np.eye(d)), m + 1 - support, d)
-        _, sv, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+        k = m + 1 - support
+        B = _contract(tensors[k:], ranks[k], d).reshape(ranks[k], -1, ranks[m])
+        # bracket[(a, p, i), (c, j)] = sum_q h[(p, i), (q, j)] B[(a, q), c]
+        bracket = np.einsum("piqj,aqc->apicj", h4, B)
+        _, sv, vh = np.linalg.svd(bracket.reshape(ranks[k] * d**support, ranks[m] * d),
+                                  full_matrices=False)
         null = sv < tol_eff
         step_kept, step_dropped = _margin(sv, null)
         kept, dropped = max(kept, step_kept), min(dropped, step_dropped)
-        N = vh[null].conj().T
-        V = (V @ N.reshape(r, d * N.shape[1])).reshape(d ** (m + 1), N.shape[1])
+        tensors.append(vh[null].conj().T)
+        ranks.append(tensors[-1].shape[1])
+        if not ranks[-1]:
+            break
+    V = _contract(tensors, 1, d) if ranks[-1] else np.zeros((d**l, 0), h.dtype)
     HV = sum(_apply_term(h, V, x, d) for x in range(l - support + 1))
     return KernelBasis(V, np.linalg.norm(HV, axis=0), tol_eff, kept, dropped)
 
@@ -404,10 +450,7 @@ def mps_ground_space(n: int, l: int) -> np.ndarray:
         domain = "even" if l % 2 == 0 else "odd"
     else:
         domain = "p_plus"
-    fam = MpsFamily(n, domain)
-    cols = [mps_vector(fam, l, B) for B in fam.basis()]
-    M = np.column_stack(cols)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = np.linalg.svd(basis_states(MpsFamily(n, domain), l), full_matrices=False)
     keep = s > 1e-10 * s[0]
     return U[:, keep]
 

@@ -652,9 +652,18 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
     return out
 
 
+def basis_states(fam: MpsFamily, l: int, cap: int = STATE_CAP) -> np.ndarray:
+    """psi(B) for every basis element B of the bond domain, one column each.
+
+    The basis lies in the domain by construction, so unlike mps_vector no
+    membership check is made, and all columns come from one _psi call.
+    """
+    return _psi(fam.n, l, np.stack([coefvec(B) for B in fam.basis()], axis=1), cap)
+
+
 def injectivity_rank(fam: MpsFamily, l: int, cap: int = STATE_CAP) -> tuple[int, bool]:
     """Rank of B -> psi(B) on the family's bond domain."""
-    Psi = _psi(fam.n, l, np.stack([coefvec(B) for B in fam.basis()], axis=1), cap)
+    Psi = basis_states(fam, l, cap)
     svals = np.linalg.svd(Psi, compute_uv=False)
     rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
     return rank, rank == fam.dim()

@@ -8,7 +8,8 @@ serializes the document as json, per-table csv files, or a text summary.
 
 Reports are deterministic for a fixed config and version: rows are sorted,
 seeds are derived from the config seed, and json output is byte-identical
-between runs except for the timestamp and the recorded wall-clock times.
+between runs except for the timestamp, the recorded wall-clock times and the
+machine block, which records where the run took place and its peak memory.
 """
 
 from __future__ import annotations
@@ -736,6 +737,26 @@ def _sort_key(row: dict):
     )
 
 
+def _machine() -> dict:
+    """The machine block of a report: core count, library versions, peak RSS.
+
+    peak_rss_mib is this process's peak resident set so far (ru_maxrss, in
+    KiB on Linux), so read at the end of a run it bounds the run's memory.
+    The imports stay here, off the package's import path.
+    """
+    import os
+    import resource
+
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     t0 = time.perf_counter()
     rows, tables = _campaign_rows(config) if config.n_list else ([], {})
@@ -763,6 +784,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             "cap_sparse": config.cap_sparse,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "machine": _machine(),
         "checks": rows,
         "tables": tables,
         "summary": dict(counts, seconds=round(time.perf_counter() - t0, 6)),

@@ -331,7 +331,7 @@ def _psd_term(spec):
     return h - np.min(np.linalg.eigvalsh(h)) * np.eye(h.shape[0])
 
 
-@pytest.mark.parametrize("spec, l, dim", [
+CHAIN_KERNEL_GRID = [
     *[(so_n_aklt(3), l, 4) for l in (2, 3, 4, 5, 6)],
     # at l = 2 the kernel is the antisymmetric pairs plus the singlet
     *[(so_n_aklt(4), l, dim) for l, dim in ((2, 7), (3, 8), (4, 8), (5, 8))],
@@ -341,7 +341,10 @@ def _psd_term(spec):
     # the twisted term's ground pair is antisymmetric: only the l = 3 singlet
     # eps_ijk keeps every term at its minimum
     *[(swap_q(3, 1.0, 0.3), l, dim) for l, dim in ((3, 1), (4, 0), (5, 0))],
-])
+]
+
+
+@pytest.mark.parametrize("spec, l, dim", CHAIN_KERNEL_GRID)
 def test_chain_kernel_matches_the_dense_oracle(spec, l, dim):
     h, d = _psd_term(spec), spec.local_dim
     oracle = kernel_basis(sum(embedded_term(h, l, x, d) for x in range(l - spec.support + 1)))
@@ -352,11 +355,78 @@ def test_chain_kernel_matches_the_dense_oracle(spec, l, dim):
     assert K.kept_max < 1e-13 and K.dropped_min > 0.1
 
 
+def _chain_kernel_oracle(h, l, d, tol=1e-10):
+    """Oracle: chain_kernel's site step on the d^(m+1)-row chain matrix.
+
+    chain_kernel took this route before it moved each step into the bond
+    space: V_{m+1} = (V_m x 1_d) N with N the null space of the chain matrix
+    (1 x h)(V_m x 1_d), from its tall QR and the SVD of R.  The cut-off is
+    the same, tol times the norm bound of h.  Returns the kernel basis and
+    the smallest singular value dropped over all steps.
+    """
+    s = round(np.log(h.shape[0]) / np.log(d))
+    h = h if np.any(h.imag) else h.real
+    tol_eff = tol * max(1.0, float(np.max(np.sum(np.abs(h), axis=1))))
+    V, dropped = np.eye(d ** (s - 1), dtype=h.dtype), np.inf
+    for m in range(s - 1, l):
+        r = V.shape[1]
+        X = np.kron(V, np.eye(d))
+        M = (h @ X.reshape(d ** (m + 1 - s), h.shape[0], -1)).reshape(X.shape)
+        _, sv, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
+        null = sv < tol_eff
+        dropped = min(dropped, float(np.min(sv[~null], initial=np.inf)))
+        N = vh[null].conj().T
+        V = (V @ N.reshape(r, d * N.shape[1])).reshape(d ** (m + 1), N.shape[1])
+    return V, dropped
+
+
+def _random_psd_term(d, support, rank, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d**support, rank)) + 1j * rng.standard_normal((d**support, rank))
+    return A @ A.conj().T
+
+
+@pytest.mark.parametrize("h, l, d, dim", [
+    *[(_psd_term(spec), l, spec.local_dim, dim) for spec, l, dim in CHAIN_KERNEL_GRID],
+    (build_interaction(so_n_aklt(6)), 6, 6, 32),
+    # generic complex terms: on two 4-level sites the kernel grows 11, 24,
+    # 41, 44; on three qubits, where each step's B joins two tensors, it
+    # goes 6, 8, 8, 4
+    (_random_psd_term(4, 2, rank=5, seed=1), 5, 4, 44),
+    (_random_psd_term(2, 3, rank=2, seed=1), 6, 2, 4),
+])
+def test_chain_kernel_matches_the_chain_matrix_oracle(h, l, d, dim):
+    K = chain_kernel(h, l, d)
+    V, dropped = _chain_kernel_oracle(h, l, d)
+    assert K.dim == V.shape[1] == dim
+    assert projector_distance(K.vectors, V) < 1e-12
+    assert abs(K.dropped_min - dropped) <= 1e-12 * dropped
+
+
+@pytest.mark.parametrize("n, l, max_rows", [(5, 7, 400), (6, 6, 1116)])
+def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l, max_rows):
+    # step k+1 -> k+2 factors the (r_k d^2) x (r_{k+1} d) bracket of the
+    # bond-space lemma, never a matrix with d^(k+2) rows
+    h = build_interaction(so_n_aklt(n))
+    ranks = [1, n] + [chain_kernel(h, k, n).dim for k in range(2, l)]
+    shapes, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert chain_kernel(h, l, n).dim == 2 ** (n - 1)
+    assert shapes == [(ranks[k] * n**2, ranks[k + 1] * n) for k in range(l - 1)]
+    assert max(rows for rows, _ in shapes) == max_rows
+
+
 def test_chain_kernel_reaches_past_the_dense_oracle():
-    # dimension 5^7 = 78,125, far above DENSE_EIG_CAP
-    K = chain_kernel(build_interaction(so_n_aklt(5)), 7, 5)
-    assert K.dim == 16
-    assert projector_distance(K.vectors, mps_ground_space(5, 7)) < 1e-8
+    # dimensions 5^7 = 78,125 and 6^6 = 46,656, far above DENSE_EIG_CAP
+    for n, l in ((5, 7), (6, 6)):
+        K = chain_kernel(build_interaction(so_n_aklt(n)), l, n)
+        assert K.dim == 2 ** (n - 1)
+        assert projector_distance(K.vectors, mps_ground_space(n, l)) < 1e-8
 
 
 def test_chain_kernel_validation():
@@ -387,6 +457,23 @@ def test_mps_states_are_chain_ground_states():
         norm2 = float(np.vdot(psi, psi).real)
         assert norm2 > 1e-6
         assert abs(np.vdot(psi, H @ psi)) < 1e-10 * norm2
+
+
+def _mps_ground_space_oracle(n, l):
+    """Oracle: the ground span from one domain-checked mps_vector per basis element."""
+    fam = MpsFamily(n, "p_plus" if n % 2 else ("even" if l % 2 == 0 else "odd"))
+    U, s, _ = np.linalg.svd(np.column_stack([mps_vector(fam, l, B) for B in fam.basis()]),
+                            full_matrices=False)
+    return U[:, s > 1e-10 * s[0]]
+
+
+@pytest.mark.parametrize("n, l", [
+    *[(3, l) for l in (3, 4, 5, 6)], *[(4, l) for l in (4, 5, 6)], (5, 5), (5, 6),
+])
+def test_ground_space_matches_the_per_element_construction(n, l):
+    G, oracle = mps_ground_space(n, l), _mps_ground_space_oracle(n, l)
+    assert G.shape[1] == oracle.shape[1] == 2 ** (n - 1)
+    assert projector_distance(G, oracle) < 1e-12
 
 
 def test_ground_space_matches_bond_dimension_parity():
