@@ -8,14 +8,15 @@ serializes the document as json, per-table csv files, or a text summary.
 
 Reports are deterministic for a fixed config and version: rows are sorted,
 seeds are derived from the config seed, and json output is byte-identical
-between runs except for the timestamp, the recorded wall-clock times and the
-machine block, which records where the run took place and its peak memory.
+between runs except for the timestamp and the recorded wall-clock times.  The
+machine block records the core count and the numpy and scipy versions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .clifford import (
@@ -738,23 +740,8 @@ def _sort_key(row: dict):
 
 
 def _machine() -> dict:
-    """The machine block of a report: core count, library versions, peak RSS.
-
-    peak_rss_mib is this process's peak resident set so far (ru_maxrss, in
-    KiB on Linux), so read at the end of a run it bounds the run's memory.
-    The imports stay here, off the package's import path.
-    """
-    import os
-    import resource
-
-    import scipy
-
-    return {
-        "nproc": os.cpu_count(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
+    """The machine block of a report: core count and library versions."""
+    return {"nproc": os.cpu_count(), "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def run_campaign(config: CampaignConfig) -> dict:

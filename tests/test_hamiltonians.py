@@ -389,9 +389,11 @@ def _random_psd_term(d, support, rank, seed):
 @pytest.mark.parametrize("h, l, d, dim", [
     *[(_psd_term(spec), l, spec.local_dim, dim) for spec, l, dim in CHAIN_KERNEL_GRID],
     (build_interaction(so_n_aklt(6)), 6, 6, 32),
-    # generic complex terms: on two 4-level sites the kernel grows 11, 24,
-    # 41, 44; on three qubits, where each step's B joins two tensors, it
-    # goes 6, 8, 8, 4
+    # generic complex terms: on one 3-level site (no B tensors, only the
+    # explicit rank list) the kernel has 2^l states; on two 4-level sites it
+    # grows 11, 24, 41, 44; on three qubits, where each step's B joins two
+    # tensors, it goes 6, 8, 8, 4
+    (_random_psd_term(3, 1, rank=1, seed=1), 3, 3, 8),
     (_random_psd_term(4, 2, rank=5, seed=1), 5, 4, 44),
     (_random_psd_term(2, 3, rank=2, seed=1), 6, 2, 4),
 ])
