@@ -38,22 +38,52 @@ def cluster_degeneracies(vals, tol: float = 1e-9) -> list[tuple[float, int]]:
     return out
 
 
-def component_stacks(graph, *parts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Connected components of a sparse graph, stacked by shape.
+def _component_labels(rows: np.ndarray, cols: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Component number of every node, components numbered by their smallest node.
 
-    An edge joins nodes i and j wherever graph stores entry (i, j) or
-    (j, i); callers store only exact nonzeros.  parts are disjoint ascending
+    Min-label hook and shortcut: every node points at a smaller or equal
+    node of its component, starting from itself.  Each round hooks the root
+    of both ends of every edge onto the smaller of the two roots, then jumps
+    pointers (label = label[label]) until every node points at a root.  At
+    the fixed point both ends of every edge share one root, so each
+    component has one label, and that label is its smallest node: the
+    smallest node can point at nothing smaller.  This is the numbering of
+    scipy.sparse.csgraph.connected_components.
+    """
+    label = np.arange(num_nodes)
+    while True:
+        lo = np.minimum(label[rows], label[cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], lo)
+        np.minimum.at(hooked, label[cols], lo)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    is_root = label == np.arange(num_nodes)
+    return (np.cumsum(is_root) - 1)[label]
+
+
+def component_stacks(rows: np.ndarray, cols: np.ndarray, num_nodes: int,
+                     *parts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Connected components of an undirected graph, stacked by shape.
+
+    The graph has nodes 0..num_nodes-1, and edge e joins rows[e] and
+    cols[e]; callers list only exact nonzeros.  parts are disjoint ascending
     arrays of node ids, one per kind of node (for instance the columns and
     the rows of a bipartite support graph).  The shape of a component is its
     number of nodes in each part, and components of one shape share one
     stack.  Returns one tuple per shape, shapes ascending: for each part a
-    (count, size) array of node ids, one row per component, ascending
-    within a row.  A component with no node in any part is left out.
+    (count, size) array of node ids, one row per component, components in
+    the order of their smallest node, ascending within a row.  A component
+    with no node in any part is left out.
     """
-    # imported here so that importing cliffchain does not load csgraph
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(graph, directed=False)
+    labels = _component_labels(rows, cols, num_nodes)
+    count = int(labels.max(initial=-1)) + 1
     part_labels = [labels[p] for p in parts]
     sizes = np.stack([np.bincount(lab, minlength=count) for lab in part_labels])
     starts = np.cumsum(sizes, axis=1) - sizes

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .checks import cluster_degeneracies, component_stacks
 from .clifford import (
@@ -491,10 +490,11 @@ def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.
     dim, m = cols.shape
     kern = _grade_kernel(n, l)[_grades(n)]
     rows, cs = np.nonzero((cols != 0) & (kern != 0)[:, None])
-    graph = sp.coo_matrix((np.ones(rows.size), (cs, m + rows)), shape=(m + dim, m + dim))
+    present_cols = np.flatnonzero(np.bincount(cs, minlength=m))
+    present_rows = m + np.flatnonzero(np.bincount(rows, minlength=dim))
     D2 = realized_dim(n) ** 2
     blocks = []
-    for idx, nodes in component_stacks(graph, np.unique(cs), m + np.unique(rows)):
+    for idx, nodes in component_stacks(cs, m + rows, m + dim, present_cols, present_rows):
         ridx = nodes - m
         X = cols[ridx[:, :, None], idx[:, None, :]]
         XH = X.conj().transpose(0, 2, 1)

@@ -26,6 +26,7 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+import numpy.random  # noqa: F401 (drawn from below; loaded at import, not inside a run)
 import scipy
 
 from . import __version__

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 (drawn from below; loaded at import, not inside a run)
 
 from .checks import VerificationReport
 from .clifford import (

@@ -79,11 +79,22 @@ def test_seed_is_threaded_through(tmp_path):
 
 
 def test_import_loads_no_graph_module():
-    # scipy.sparse.csgraph is imported inside the frame routines that use it,
-    # so that importing the package stays as cheap as it is
+    # scipy.sparse serves only the Hamiltonian oracles and is imported inside
+    # them, so the package, the CLI and the cpt/spt/Gram paths load numpy and
+    # the top-level scipy package alone; hamiltonians.spla loads on access
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, cliffchain; print('scipy.sparse.csgraph' in sys.modules)"
+    code = """
+import sys
+import cliffchain, cliffchain.cli
+from cliffchain.mps import rdm_eigen_by_grade
+from cliffchain.spt import conjugation_check, on_site_breaking_check
+on_site_breaking_check(4, 4)
+rdm_eigen_by_grade(6, 4, "plus")
+conjugation_check(4, 4)
+print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
+print(callable(cliffchain.hamiltonians.spla.eigsh))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

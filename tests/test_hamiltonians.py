@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cliffchain.hamiltonians import (
     DENSE_EIG_CAP,
+    _norm_bound,
     ChainHamiltonian,
     InteractionSpec,
     KINDS,
@@ -529,6 +530,42 @@ def test_low_spectrum_aklt_n3_l6():
     assert clusters[0][1] == 4
     assert abs(clusters[0][0]) < 1e-10
     assert vals[4] > 1e-6
+
+
+def test_low_spectrum_refuses_chains_above_the_dense_cap():
+    # 3^7 = 2187 dimensions; refused before the chain is assembled
+    with pytest.raises(ValueError, match="exceeds"):
+        low_spectrum(so_n_aklt(3), 7)
+
+
+def test_norm_bound_is_the_same_for_dense_and_sparse_chains():
+    H = chain_hamiltonian(heisenberg(0.5, J=-1.5), 5).matrix
+    assert _norm_bound(H) == pytest.approx(_norm_bound(H.toarray()), rel=1e-15)
+    assert _norm_bound(H) == float(np.abs(H.toarray()).sum(axis=1).max())
+
+
+def _projector_distance_oracle(Qa, Qb):
+    """Oracle: the largest singular value of each residual from a full SVD."""
+    ra = np.linalg.svd(Qb - Qa @ (Qa.conj().T @ Qb), compute_uv=False)[0]
+    rb = np.linalg.svd(Qa - Qb @ (Qb.conj().T @ Qa), compute_uv=False)[0]
+    return float(max(ra, rb))
+
+
+def test_projector_distance_matches_the_svd_oracle():
+    # the (5, 6) parent row, where the spans agree to rounding
+    K = chain_kernel(build_interaction(so_n_aklt(5)), 6, 5)
+    G = mps_ground_space(5, 6)
+    assert projector_distance(K.vectors, G) == pytest.approx(
+        _projector_distance_oracle(K.vectors, G), rel=1e-12)
+    # random complex spans and their perturbations, from nearby to far
+    rng = np.random.default_rng(8)
+    for dim, r in ((64, 5), (300, 16)):
+        Q = np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))[0]
+        for eps in (1e-12, 1e-6, 1e-2, 1.0):
+            noise = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+            P = np.linalg.qr(Q + eps * noise)[0]
+            assert projector_distance(Q, P) == pytest.approx(
+                _projector_distance_oracle(Q, P), rel=1e-12)
 
 
 def test_ground_energy_below_rayleigh_quotients():
