@@ -13,7 +13,6 @@ import traceback
 from .reporting import (
     CAMPAIGNS,
     CampaignConfig,
-    DEFAULT_CAP_DENSE,
     DEFAULT_CAP_SPARSE,
     DEFAULT_N_LIST,
     emit,
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output file or csv stem")
     parser.add_argument("--format", choices=("json", "csv-tables", "text"), default="text")
-    parser.add_argument("--cap-dense", type=int, default=DEFAULT_CAP_DENSE)
     parser.add_argument("--cap-sparse", type=int, default=DEFAULT_CAP_SPARSE)
     return parser
 
@@ -79,7 +77,6 @@ def main(argv=None) -> int:
             tol_kernel=args.tol_kernel,
             tol_match=args.tol_match,
             seed=args.seed,
-            cap_dense=args.cap_dense,
             cap_sparse=args.cap_sparse,
         )
     except ValueError as exc:

@@ -1,9 +1,9 @@
 """Two- and three-site interactions, open chains, and kernel extraction.
 
-The assembled chain, a scipy.sparse sum of embedded local terms, serves
-only the dense oracles (kernel_basis, low_spectrum), and scipy.sparse is
-imported inside the functions that build it, so importing this module
-loads numpy alone.  The kernel of an open chain of PSD terms is the
+The assembled chain is one numpy array of nonzero entries (rows, cols,
+vals) of the sum of the local terms (chain_entries); it serves only the
+dense oracles (kernel_basis, low_spectrum), and the module computes with
+numpy alone.  The kernel of an open chain of PSD terms is the
 intersection of the term kernels, and chain_kernel grows it one site at a
 time as an isometric MPS.  By the isometry lemma in its docstring, each
 step's rank decision is one SVD of an (r_k d^s) x (r_m d) bond-space
@@ -20,17 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
 from .checks import VerificationReport, component_stacks
-from .checks import cluster_degeneracies  # noqa: F401 (part of this module's API)
 from .mps import MpsFamily, basis_states
 from .so_n import casimir_su2_pair, spin_matrices
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 CHAIN_DIM_CAP = 2_000_000
 DENSE_EIG_CAP = 2048
@@ -208,49 +204,57 @@ def _support(h: np.ndarray, d: int) -> int:
     return support
 
 
-def embedded_term(h: np.ndarray, l: int, x: int, d: int) -> sp.coo_matrix:
-    """h acting on sites x..x+support-1 of a length-l chain, identity elsewhere."""
-    import scipy.sparse as sp
+class Entries(NamedTuple):
+    """The nonzero entries H[rows[e], cols[e]] = vals[e] of a dim x dim matrix H."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    def norm_bound(self) -> float:
+        """Infinity-norm upper bound on the spectral radius: the largest absolute row sum."""
+        return float(np.bincount(self.rows, np.abs(self.vals), self.dim).max(initial=0.0))
+
+
+def chain_entries(h: np.ndarray, l: int, d: int) -> Entries:
+    """Nonzero entries of the open chain sum_x h_x of a local term on l sites.
+
+    h_x, the term on sites x..x+s-1, has the entry h[p, q] at row
+    (a, p, c) and column (a, q, c) for every left index a < d^x and right
+    index c < d^(l-x-s).  Entries at one position are summed in the order
+    of x and sums that are exactly zero are dropped, so the support graph
+    kernel_basis splits on holds exact nonzeros only.  No d^l x d^l array
+    is formed.
+    """
     support = _support(h, d)
-    if x < 0 or x + support > l:
-        raise ValueError(f"term on sites {x}..{x + support - 1} does not fit length {l}")
-    left = sp.identity(d**x, format="coo", dtype=complex)
-    right = sp.identity(d ** (l - x - support), format="coo", dtype=complex)
-    return sp.kron(left, sp.kron(sp.coo_matrix(h), right, format="coo"), format="coo")
-
-
-@dataclass(frozen=True)
-class ChainHamiltonian:
-    spec: InteractionSpec
-    length: int
-    matrix: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def chain_hamiltonian(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_CAP) -> ChainHamiltonian:
-    """Open chain sum_x h_x of the local term on l sites."""
-    import scipy.sparse as sp
-
-    support = spec.support
     if l < support:
         raise ValueError(f"chain length {l} shorter than the term support {support}")
-    d = spec.local_dim
-    if d**l > cap:
-        raise ValueError(f"chain dimension {d}^{l} exceeds the cap {cap}")
-    h = build_interaction(spec)
-    total = sp.coo_matrix((d**l, d**l), dtype=complex)
+    dim = d**l
+    p, q = np.nonzero(h)
+    keys, vals = [], []
     for x in range(l - support + 1):
-        total = total + embedded_term(h, l, x, d)
-    return ChainHamiltonian(spec, l, total.tocsr())
+        a = np.arange(d**x)[:, None, None] * d**support
+        c = np.arange(d ** (l - x - support))
+        rows = (a + p[:, None]) * c.size + c
+        cols = (a + q[:, None]) * c.size + c
+        keys.append((rows * dim + cols).ravel())
+        vals.append(np.broadcast_to(h[p, q][:, None], rows.shape).ravel())
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    first = np.diff(keys[order], prepend=-1) != 0
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    # np.add.at adds in the order of its indices, that is of x
+    total = np.zeros(np.count_nonzero(first), dtype=h.dtype)
+    np.add.at(total, group, np.concatenate(vals))
+    keys, nz = keys[order][first], total != 0
+    return Entries(keys[nz] // dim, keys[nz] % dim, total[nz], dim)
 
 
-def _norm_bound(H) -> float:
-    """Infinity-norm upper bound on the spectral radius, of a dense or sparse H."""
-    return float(np.abs(H).sum(axis=1).max())
+def _norm_bound(h: np.ndarray) -> float:
+    """Infinity-norm upper bound on the spectral radius of a dense h."""
+    return float(np.abs(h).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,7 @@ def _margin(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
     return float(np.max(values[keep], initial=0.0)), float(np.min(values[~keep], initial=math.inf))
 
 
-def _diagonal_blocks(H) -> list[tuple[np.ndarray, np.ndarray]]:
+def _diagonal_blocks(H: Entries) -> list[tuple[np.ndarray, np.ndarray]]:
     """H as dense diagonal blocks, one per connected component of its support.
 
     Returns (idx, stack) pairs: idx is a (count, size) array of basis
@@ -295,14 +299,7 @@ def _diagonal_blocks(H) -> list[tuple[np.ndarray, np.ndarray]]:
     filled from the nonzero entries of H, so no dim x dim array is formed,
     and they are real when H has no imaginary part.
     """
-    import scipy.sparse as sp
-
-    A = sp.csr_matrix(H, copy=True)
-    A.sum_duplicates()
-    coo = A.tocoo()
-    nz = coo.data != 0
-    rows, cols, vals = coo.row[nz], coo.col[nz], _real_if_exact(coo.data[nz])
-    dim = A.shape[0]
+    rows, cols, vals, dim = H.rows, H.cols, _real_if_exact(H.vals), H.dim
     stacks = [idx for (idx,) in component_stacks(rows, cols, dim, np.arange(dim))]
     group, block, pos = (np.empty(dim, dtype=np.intp) for _ in range(3))
     for g, idx in enumerate(stacks):
@@ -320,7 +317,7 @@ def _diagonal_blocks(H) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def kernel_basis(H, tol: float = 1e-10) -> KernelBasis:
+def kernel_basis(H: Entries, tol: float = 1e-10) -> KernelBasis:
     """Kernel of a Hermitian H from dense eigensolves: the oracle for chain_kernel.
 
     Direct-sum lemma: join i and j wherever H_ij != 0 (an exact test, no
@@ -332,14 +329,16 @@ def kernel_basis(H, tol: float = 1e-10) -> KernelBasis:
     of the diagonal axis flips.  Blocks of one size share one stacked eigh,
     and each runs in real arithmetic when H has no imaginary part.
 
-    The cut-off is tol times the norm bound of the whole H, and kept_max /
-    dropped_min are taken over all blocks.  H of total dimension above
-    DENSE_EIG_CAP is refused.
+    H is given by its nonzero entries (chain_entries builds them for a
+    chain).  The cut-off is tol times the norm bound of the whole H, and
+    kept_max / dropped_min are taken over all blocks; the residuals ||H v||
+    are summed from the entries.  H of total dimension above DENSE_EIG_CAP
+    is refused.
     """
-    dim = H.shape[0]
+    dim = H.dim
     if dim > DENSE_EIG_CAP:
         raise ValueError(f"dense kernel of dimension {dim} exceeds {DENSE_EIG_CAP}")
-    tol_eff = tol * max(1.0, _norm_bound(H))
+    tol_eff = tol * max(1.0, H.norm_bound())
     vectors, moduli, kept, sizes = [], [], [], []
     for idx, stack in _diagonal_blocks(H):
         vals, vecs = np.linalg.eigh(stack)
@@ -352,7 +351,9 @@ def kernel_basis(H, tol: float = 1e-10) -> KernelBasis:
         kept.append(keep.ravel())
         sizes += [idx.shape[1]] * idx.shape[0]
     V = np.concatenate(vectors, axis=1)
-    return KernelBasis(V, np.linalg.norm(H @ V, axis=0), tol_eff,
+    HV = np.zeros(V.shape, dtype=np.result_type(H.vals, V))
+    np.add.at(HV, H.rows, H.vals[:, None] * V[H.cols])
+    return KernelBasis(V, np.linalg.norm(HV, axis=0), tol_eff,
                        *_margin(np.concatenate(moduli), np.concatenate(kept)), tuple(sizes))
 
 
@@ -434,18 +435,17 @@ def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBas
     return KernelBasis(V, np.linalg.norm(HV, axis=0), tol_eff, kept, dropped)
 
 
-def low_spectrum(spec: InteractionSpec, l: int, k: int = 6,
-                 cap: int = CHAIN_DIM_CAP) -> np.ndarray:
+def low_spectrum(spec: InteractionSpec, l: int, k: int = 6) -> np.ndarray:
     """k smallest chain eigenvalues, ascending, from dense eigensolves of H's blocks.
 
     The blocks are those of kernel_basis (the direct-sum lemma there).  A
-    chain of dimension above DENSE_EIG_CAP is refused, as kernel_basis
-    refuses it.
+    chain of dimension above DENSE_EIG_CAP is refused before it is built,
+    as kernel_basis refuses it.
     """
     dim = spec.local_dim**l
     if dim > DENSE_EIG_CAP:
         raise ValueError(f"dense spectrum of dimension {dim} exceeds {DENSE_EIG_CAP}")
-    H = chain_hamiltonian(spec, l, cap).matrix
+    H = chain_entries(build_interaction(spec), l, spec.local_dim)
     vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
                            for _, stack in _diagonal_blocks(H)])
     return np.sort(vals)[: min(k, dim)]
@@ -515,7 +515,7 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
     return VerificationReport(f"parent_check(n={n}, l={l})", passed, numbers)
 
 
-def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_CAP,
+def frustration_free_check(spec: InteractionSpec, l: int,
                            tol: float = 1e-10) -> VerificationReport:
     """Shift the term to PSD, then test ker(sum h_x) = intersection of ker h_x.
 
@@ -526,17 +526,17 @@ def frustration_free_check(spec: InteractionSpec, l: int, cap: int = CHAIN_DIM_C
     number in the payload, and ground_energy is the lowest eigenvalue modulus
     of the shifted chain.  tol is the cut-off of both kernels, relative to
     the norm bound of the chain and of the term; the absolute cut-offs are
-    reported as oracle_cutoff and cutoff.
+    reported as oracle_cutoff and cutoff.  A chain of dimension above
+    DENSE_EIG_CAP is refused before it is built.
     """
     d = spec.local_dim
-    if d**l > cap:
-        raise ValueError(f"chain dimension {d}^{l} exceeds the cap {cap}")
+    if d**l > DENSE_EIG_CAP:
+        raise ValueError(f"dense kernel of dimension {d}^{l} exceeds {DENSE_EIG_CAP}")
     h = build_interaction(spec)
     shift = float(np.min(np.linalg.eigvalsh(h)))
     h_psd = h - shift * np.eye(h.shape[0])
 
-    terms = [embedded_term(h_psd, l, x, d) for x in range(l - spec.support + 1)]
-    K = kernel_basis(sum(terms[1:], terms[0]), tol=tol)
+    K = kernel_basis(chain_entries(h_psd, l, d), tol=tol)
     inter = chain_kernel(h_psd, l, d, tol)
 
     dist = projector_distance(K.vectors, inter.vectors)

@@ -83,7 +83,6 @@ SCHEMA_VERSION = 1
 # CAMPAIGNS, the campaign names, is read off the check table _CHECKS below
 
 DEFAULT_N_LIST = (3, 4, 5, 6)
-DEFAULT_CAP_DENSE = 2048
 DEFAULT_CAP_SPARSE = 16_000
 
 # grid guard for the heavier batteries
@@ -101,7 +100,6 @@ class CampaignConfig:
     tol_kernel: float = 1e-10
     tol_match: float = 1e-9
     seed: int = 0
-    cap_dense: int = DEFAULT_CAP_DENSE
     cap_sparse: int = DEFAULT_CAP_SPARSE
 
     def __post_init__(self):
@@ -117,10 +115,8 @@ class CampaignConfig:
                 raise ValueError("lengths must be positive")
         if self.tol_kernel <= 0 or self.tol_match <= 0:
             raise ValueError("tolerances must be positive")
-        if self.cap_dense < 2 or self.cap_sparse < 2:
-            raise ValueError("caps must be at least 2")
-        if self.cap_dense > DENSE_EIG_CAP:
-            raise ValueError(f"cap_dense must not exceed the dense solver cap {DENSE_EIG_CAP}")
+        if self.cap_sparse < 2:
+            raise ValueError("cap_sparse must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +418,7 @@ def _sparse_cap(ctx, n, l):
 
 
 def _dense_cap(ctx, n, l):
-    return _cap_exceeded(n**l > min(ctx.config.cap_sparse, ctx.config.cap_dense))
+    return _cap_exceeded(n**l > min(ctx.config.cap_sparse, DENSE_EIG_CAP))
 
 
 def _report_row(report):
@@ -453,10 +449,7 @@ def _check_parent_kernel(ctx, n, l):
 
 
 def _check_frustration_free(ctx, n, l):
-    config = ctx.config
-    return _report_row(
-        frustration_free_check(so_n_aklt(n), l, cap=config.cap_sparse, tol=config.tol_kernel)
-    )
+    return _report_row(frustration_free_check(so_n_aklt(n), l, tol=ctx.config.tol_kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +761,6 @@ def run_campaign(config: CampaignConfig) -> dict:
             "tol_kernel": config.tol_kernel,
             "tol_match": config.tol_match,
             "seed": config.seed,
-            "cap_dense": config.cap_dense,
             "cap_sparse": config.cap_sparse,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),

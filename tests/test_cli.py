@@ -46,9 +46,6 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["transfer", "--format", "csv-tables"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["parent", "--cap-dense", "2049"])
-    assert err.value.code == 2
 
 
 def test_bad_n_value_exits_two():
@@ -79,19 +76,23 @@ def test_seed_is_threaded_through(tmp_path):
 
 
 def test_import_loads_no_graph_module():
-    # scipy.sparse serves only the Hamiltonian oracles and is imported inside
-    # them, so the package, the CLI and the cpt/spt/Gram paths load numpy and
-    # the top-level scipy package alone; hamiltonians.spla loads on access
+    # the package, the CLI, the cpt/spt/Gram paths and the parent campaign
+    # with its dense Hamiltonian oracles load numpy and the top-level scipy
+    # package alone; hamiltonians.spla loads scipy.sparse.linalg on access
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = """
 import sys
 import cliffchain, cliffchain.cli
+from cliffchain.hamiltonians import low_spectrum, so_n_aklt
 from cliffchain.mps import rdm_eigen_by_grade
+from cliffchain.reporting import CampaignConfig, run_campaign
 from cliffchain.spt import conjugation_check, on_site_breaking_check
 on_site_breaking_check(4, 4)
 rdm_eigen_by_grade(6, 4, "plus")
 conjugation_check(4, 4)
+run_campaign(CampaignConfig("parent", n_list=(3,)))
+low_spectrum(so_n_aklt(3), 4)
 print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 print(callable(cliffchain.hamiltonians.spla.eigsh))
 """

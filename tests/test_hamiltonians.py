@@ -6,19 +6,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffchain.checks import cluster_degeneracies
 from cliffchain.hamiltonians import (
     DENSE_EIG_CAP,
-    _norm_bound,
-    ChainHamiltonian,
+    Entries,
     InteractionSpec,
     KINDS,
     aklt_su2,
     bilinear_biquadratic,
     build_interaction,
-    chain_hamiltonian,
+    chain_entries,
     chain_kernel,
-    cluster_degeneracies,
-    embedded_term,
     frustration_free_check,
     heisenberg,
     kernel_basis,
@@ -204,44 +202,99 @@ def test_rotation_commutes_with_su2_terms():
         assert np.max(np.abs(h @ uuu - uuu @ h)) < 1e-10
 
 
-def test_chain_is_sum_of_embedded_terms():
-    for spec, l in ((so_n_aklt(3), 4), (majumdar_ghosh(), 5)):
-        d = spec.local_dim
-        h = build_interaction(spec)
-        H = chain_hamiltonian(spec, l)
-        assert isinstance(H, ChainHamiltonian)
-        assert H.dim == d**l
-        total = np.zeros((d**l, d**l), dtype=complex)
-        for x in range(l - spec.support + 1):
-            total += embedded_term(h, l, x, d).toarray()
-        assert np.max(np.abs(H.matrix.toarray() - total)) < 1e-15
+def _chain(spec, l):
+    return chain_entries(build_interaction(spec), l, spec.local_dim)
+
+
+def _dense(H):
+    """The dim x dim array of the entries H."""
+    A = np.zeros((H.dim, H.dim), dtype=H.vals.dtype)
+    A[H.rows, H.cols] = H.vals
+    return A
+
+
+def _entries(A):
+    rows, cols = np.nonzero(A)
+    return Entries(rows, cols, A[rows, cols], A.shape[0])
+
+
+def _chain_entries_oracle(h, l, d):
+    """Oracle: the nonzeros of the chain assembled as a sum of sparse kron products.
+
+    chain_entries took this route before it built the entries in numpy: each
+    h_x is 1_{d^x} x h x 1_{d^(l-x-s)} as a scipy.sparse kron product, the
+    chain is their sum in the order of x, and duplicates are summed and
+    exact zeros dropped.  Returns rows, cols and vals in row-major order.
+    """
+    s = round(np.log(h.shape[0]) / np.log(d))
+    total = sp.coo_matrix((d**l, d**l), dtype=complex)
+    for x in range(l - s + 1):
+        left = sp.identity(d**x, format="coo", dtype=complex)
+        right = sp.identity(d ** (l - x - s), format="coo", dtype=complex)
+        total = total + sp.kron(left, sp.kron(sp.coo_matrix(h), right, format="coo"),
+                                format="coo")
+    A = total.tocsr()
+    A.sum_duplicates()
+    coo = A.tocoo()
+    nz = coo.data != 0
+    return coo.row[nz], coo.col[nz], coo.data[nz]
+
+
+def _random_psd_term(d, support, rank, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d**support, rank)) + 1j * rng.standard_normal((d**support, rank))
+    return A @ A.conj().T
+
+
+@pytest.mark.parametrize("h, l, d", [
+    (build_interaction(so_n_aklt(3)), 5, 3),
+    (build_interaction(so_n_aklt(4)), 5, 4),
+    (build_interaction(majumdar_ghosh()), 7, 2),
+    (build_interaction(aklt_su2()), 4, 3),
+    (build_interaction(swap_q(3, 1.0, 0.3)), 4, 3),
+    (build_interaction(heisenberg(0.5, J=-1.5)), 5, 2),
+    # random complex PSD terms of support 1, 2 and 3
+    (_random_psd_term(3, 1, rank=2, seed=5), 4, 3),
+    (_random_psd_term(3, 2, rank=4, seed=5), 4, 3),
+    (_random_psd_term(2, 3, rank=3, seed=5), 6, 2),
+], ids=["so3", "so4", "dimer", "spin1", "twisted", "heisenberg", "random1", "random2", "random3"])
+def test_chain_entries_match_the_sparse_kron_oracle(h, l, d):
+    H = chain_entries(h, l, d)
+    rows, cols, vals = _chain_entries_oracle(h, l, d)
+    assert H.dim == d**l
+    assert np.array_equal(H.rows, rows) and np.array_equal(H.cols, cols)
+    assert np.all(np.abs(H.vals - vals) <= 1e-15 * np.abs(vals))
 
 
 def test_chain_at_support_length_is_the_term():
-    assert np.allclose(chain_hamiltonian(so_n_aklt(3), 2).matrix.toarray(),
+    assert np.allclose(_dense(_chain(so_n_aklt(3), 2)),
                        build_interaction(so_n_aklt(3)), atol=0)
-    assert np.allclose(chain_hamiltonian(majumdar_ghosh(), 3).matrix.toarray(),
+    assert np.allclose(_dense(_chain(majumdar_ghosh(), 3)),
                        build_interaction(majumdar_ghosh()), atol=0)
 
 
 def test_chain_validation():
+    h = build_interaction(so_n_aklt(3))
     with pytest.raises(ValueError):
-        chain_hamiltonian(so_n_aklt(3), 1)
+        chain_entries(h, 1, 3)
     with pytest.raises(ValueError):
-        chain_hamiltonian(majumdar_ghosh(), 2)
+        chain_entries(build_interaction(majumdar_ghosh()), 2, 2)
     with pytest.raises(ValueError):
-        chain_hamiltonian(so_n_aklt(6), 10, cap=1000)
+        chain_entries(h, 4, 2)  # a 9 x 9 term is not a 2-level operator
+    # 6^10 dimensions; refused before the chain is assembled
+    with pytest.raises(ValueError, match="exceeds"):
+        frustration_free_check(so_n_aklt(6), 10)
 
 
 def test_kernel_dims_known_chains():
-    assert kernel_basis(chain_hamiltonian(aklt_su2(), 4).matrix).dim == 4
+    assert kernel_basis(_chain(aklt_su2(), 4)).dim == 4
     for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4)):
-        assert kernel_basis(chain_hamiltonian(majumdar_ghosh(), l).matrix).dim == dim
-    assert kernel_basis(chain_hamiltonian(so_n_aklt(4), 4).matrix).dim == 8
+        assert kernel_basis(_chain(majumdar_ghosh(), l)).dim == dim
+    assert kernel_basis(_chain(so_n_aklt(4), 4)).dim == 8
 
 
 def test_kernel_basis_certified():
-    K = kernel_basis(chain_hamiltonian(so_n_aklt(3), 5).matrix)
+    K = kernel_basis(_chain(so_n_aklt(3), 5))
     assert K.dim == 4
     V = K.vectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(K.dim))) < 1e-10
@@ -249,10 +302,11 @@ def test_kernel_basis_certified():
 
 
 def test_kernel_basis_is_dense_and_real_for_real_chains():
-    K = kernel_basis(chain_hamiltonian(so_n_aklt(3), 4).matrix)
+    K = kernel_basis(_chain(so_n_aklt(3), 4))
     assert K.dim == 4 and not np.iscomplexobj(K.vectors)
+    diag = np.arange(DENSE_EIG_CAP + 1)
     with pytest.raises(ValueError):
-        kernel_basis(sp.identity(DENSE_EIG_CAP + 1, format="csr"))
+        kernel_basis(Entries(diag, diag, np.ones(diag.size), diag.size))
 
 
 def _kernel_basis_oracle(H, tol=1e-10):
@@ -261,7 +315,7 @@ def _kernel_basis_oracle(H, tol=1e-10):
     kernel_basis took this route before it split H into support-connected
     blocks; the cut-off is the same, tol times the norm bound of H.
     """
-    Hd = np.asarray(H.toarray() if sp.issparse(H) else H)
+    Hd = _dense(H)
     Hd = Hd if np.any(Hd.imag) else Hd.real
     tol_eff = tol * max(1.0, float(np.max(np.sum(np.abs(Hd), axis=1))))
     vals, vecs = np.linalg.eigh(Hd)
@@ -280,26 +334,25 @@ def _planted_blocks(coupling=1e-300):
     H[np.ix_([0, 2, 3, 4], [0, 2, 3, 4])] = a @ a.T
     H[np.ix_([1, 5, 6, 7, 8], [1, 5, 6, 7, 8])] = b @ b.T
     H[2, 5] = H[5, 2] = coupling
-    return H
+    return _entries(H)
 
 
 def _random_hermitian():
     rng = np.random.default_rng(71)
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     B = A[:, :30] @ A[:, :30].conj().T  # rank 30, kernel of dimension 10
-    return 0.5 * (B + B.conj().T)
+    return _entries(0.5 * (B + B.conj().T))
 
 
 def _shifted_chain(spec, l):
-    h, d = _psd_term(spec), spec.local_dim
-    return sum(embedded_term(h, l, x, d) for x in range(l - spec.support + 1))
+    return chain_entries(_psd_term(spec), l, spec.local_dim)
 
 
 @pytest.mark.parametrize("make, dim, blocks", [
-    *[(lambda n=n, l=l: chain_hamiltonian(so_n_aklt(n), l).matrix, 2 ** (n - 1), 2 ** (n - 1))
+    *[(lambda n=n, l=l: _chain(so_n_aklt(n), l), 2 ** (n - 1), 2 ** (n - 1))
       for n, l in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (5, 4))],
-    (lambda: chain_hamiltonian(aklt_su2(), 4).matrix, 4, None),
-    *[(lambda l=l: chain_hamiltonian(majumdar_ghosh(), l).matrix, dim, None)
+    (lambda: _chain(aklt_su2(), 4), 4, None),
+    *[(lambda l=l: _chain(majumdar_ghosh(), l), dim, None)
       for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
     # the twisted term has an empty kernel: only dropped_min is a margin
     (lambda: _shifted_chain(swap_q(3, 1.0, 0.3), 4), 0, None),
@@ -317,7 +370,7 @@ def test_kernel_basis_matches_the_unblocked_oracle(make, dim, blocks):
     scale = max(1.0, dropped)
     assert abs(K.kept_max - kept) <= 1e-12 * scale
     assert abs(K.dropped_min - dropped) <= 1e-12 * scale
-    assert sum(K.blocks) == H.shape[0]
+    assert sum(K.blocks) == H.dim
     if blocks is not None:
         assert len(K.blocks) == blocks
 
@@ -348,7 +401,7 @@ CHAIN_KERNEL_GRID = [
 @pytest.mark.parametrize("spec, l, dim", CHAIN_KERNEL_GRID)
 def test_chain_kernel_matches_the_dense_oracle(spec, l, dim):
     h, d = _psd_term(spec), spec.local_dim
-    oracle = kernel_basis(sum(embedded_term(h, l, x, d) for x in range(l - spec.support + 1)))
+    oracle = kernel_basis(chain_entries(h, l, d))
     K = chain_kernel(h, l, d)
     assert K.dim == oracle.dim == dim
     assert projector_distance(K.vectors, oracle.vectors) < 1e-8
@@ -379,12 +432,6 @@ def _chain_kernel_oracle(h, l, d, tol=1e-10):
         N = vh[null].conj().T
         V = (V @ N.reshape(r, d * N.shape[1])).reshape(d ** (m + 1), N.shape[1])
     return V, dropped
-
-
-def _random_psd_term(d, support, rank, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d**support, rank)) + 1j * rng.standard_normal((d**support, rank))
-    return A @ A.conj().T
 
 
 @pytest.mark.parametrize("h, l, d, dim", [
@@ -452,7 +499,7 @@ def test_parent_check_grid():
 def test_mps_states_are_chain_ground_states():
     rng = np.random.default_rng(23)
     for n, l in ((4, 5), (3, 4)):
-        H = chain_hamiltonian(so_n_aklt(n), l).matrix
+        H = _dense(_chain(so_n_aklt(n), l))
         fam = MpsFamily(n, "full")
         coef = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         B = element_from_coefvec(n, coef)
@@ -516,7 +563,7 @@ def test_south_pole_shifted_ground_degeneracy():
     hp = h - shift * np.eye(9)
     mults = {}
     for l in (3, 4, 5):
-        H = sum(embedded_term(hp, l, x, 3).toarray() for x in range(l - 1))
+        H = _dense(chain_entries(hp, l, 3))
         vals = np.linalg.eigvalsh(H)
         mults[l] = int(np.count_nonzero(vals - vals[0] < 1e-9))
         assert vals[0] > 0.1  # shifted chain is frustrated, never at zero
@@ -538,10 +585,11 @@ def test_low_spectrum_refuses_chains_above_the_dense_cap():
         low_spectrum(so_n_aklt(3), 7)
 
 
-def test_norm_bound_is_the_same_for_dense_and_sparse_chains():
-    H = chain_hamiltonian(heisenberg(0.5, J=-1.5), 5).matrix
-    assert _norm_bound(H) == pytest.approx(_norm_bound(H.toarray()), rel=1e-15)
-    assert _norm_bound(H) == float(np.abs(H.toarray()).sum(axis=1).max())
+def test_entries_norm_bound_is_the_largest_dense_row_sum():
+    for H in (_chain(heisenberg(0.5, J=-1.5), 5),
+              chain_entries(_random_psd_term(3, 2, rank=4, seed=5), 4, 3)):
+        assert H.norm_bound() == pytest.approx(
+            float(np.abs(_dense(H)).sum(axis=1).max()), rel=1e-15)
 
 
 def _projector_distance_oracle(Qa, Qb):
@@ -571,7 +619,7 @@ def test_projector_distance_matches_the_svd_oracle():
 def test_ground_energy_below_rayleigh_quotients():
     rng = np.random.default_rng(3)
     for spec, l in ((so_n_aklt(3), 4), (heisenberg(0.5, J=1.0), 6), (south_pole(3), 3)):
-        H = chain_hamiltonian(spec, l).matrix
+        H = _dense(_chain(spec, l))
         e0 = low_spectrum(spec, l, k=1)[0]
         for _ in range(5):
             v = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
@@ -581,7 +629,7 @@ def test_ground_energy_below_rayleigh_quotients():
 
 def test_three_site_kernel_is_pair_intersection():
     for n in (3, 4):
-        H3 = chain_hamiltonian(so_n_aklt(n), 3).matrix
+        H3 = _chain(so_n_aklt(n), 3)
         K = kernel_basis(H3)
         G2 = mps_ground_space(n, 2)
         Qa = np.kron(G2, np.eye(n))
