@@ -13,8 +13,12 @@ acting on coefficient vectors over the 2^n monomial basis.  A marginal is
 the one frame format.  The overlap kernel is diagonal in the monomial
 basis with entries that depend only on the grade, a length-(n+1) vector
 built by a recurrence in l.  Two consequences replace dense linear
-algebra: frames split into blocks of disjoint monomial support, which give
-orthogonal states (frame_operator_distance, frame_product_trace), and the
+algebra.  First, frame operators live in coefficient space: with Psi the
+map x -> psi(x) and D = realized_dim(n), Psi^H Psi / n^l = D^2 diag(kern)
+with kern >= 0, so n^-l Psi M Psi^H has the nonzero spectrum of
+(D^2 kern)^1/2 M (D^2 kern)^1/2, exactly and for any rank, and that
+matrix splits into blocks over the disjoint monomial supports of the
+frame (frame_operator_distance, frame_product_trace).  Second, the
 marginal spectrum has a closed form per grade (rdm_eigen_by_grade).
 """
 
@@ -471,35 +475,35 @@ def _grade_kernel(n: int, l: int) -> np.ndarray:
     return _grade_weights(n, l) * sq
 
 
-def _gram_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The Gram of a frame over n^l, split into its support-connected blocks.
+def _frame_blocks(n: int, l: int, cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A frame in kernel-weighted coefficient space, split into support blocks.
 
-    Direct-sum lemma: the overlap kernel is diagonal on monomials, so two
-    columns whose supports on the monomials of nonzero kernel weight are
-    disjoint give orthogonal states.  Join each column to every such
-    monomial where it is nonzero (an exact != 0 test, no tolerance); the
-    connected components of that graph split the Gram, and every operator
-    sum_j s_j |psi_j><psi_j| on the frame, into a direct sum of blocks.
+    Coefficient-space lemma: write Psi for x -> psi(x).  Then Psi^H Psi / n^l
+    = D^2 diag(kern), kern = _grade_kernel(n, l)[_grades(n)] >= 0, so
+    Psi / n^(l/2) = V (D^2 kern)^1/2 with V isometric on the monomials of
+    nonzero weight, and the states of x and x' overlap as y^H y' with
+    y = (D^2 kern)^1/2 x.  Join each column to every weighted monomial
+    where it is nonzero (an exact != 0 test, no tolerance).  kern is
+    diagonal, so the connected components of that graph split every
+    operator sum_j s_j |psi_j><psi_j| on the frame into a direct sum.
 
-    Returns (idx, G) pairs: idx is a (count, size) array of column indices
-    and G the (count, size, size) stack of their Grams, built from each
-    block's support rows only.  Blocks with the same number of columns and
-    of support rows share one stack (checks.component_stacks).  A column with no weighted support is
-    the zero state and lies in no block.
+    Returns (idx, Y) pairs: idx is a (count, cols) array of column indices
+    and Y the (count, rows, cols) stack of the weighted coefficients
+    (D^2 kern[rows])^1/2 X[rows, idx] on each block's support rows.  Blocks
+    with the same number of columns and rows share one stack
+    (checks.component_stacks).  A column with no weighted support is the
+    zero state and lies in no block.
     """
     dim, m = cols.shape
-    kern = _grade_kernel(n, l)[_grades(n)]
-    rows, cs = np.nonzero((cols != 0) & (kern != 0)[:, None])
+    weight = realized_dim(n) ** 2 * _grade_kernel(n, l)[_grades(n)]
+    rows, cs = np.nonzero((cols != 0) & (weight != 0)[:, None])
     present_cols = np.flatnonzero(np.bincount(cs, minlength=m))
     present_rows = m + np.flatnonzero(np.bincount(rows, minlength=dim))
-    D2 = realized_dim(n) ** 2
     blocks = []
     for idx, nodes in component_stacks(cs, m + rows, m + dim, present_cols, present_rows):
         ridx = nodes - m
-        X = cols[ridx[:, :, None], idx[:, None, :]]
-        XH = X.conj().transpose(0, 2, 1)
-        G = D2 * (XH @ (kern[ridx][:, :, None] * X))
-        blocks.append((idx, 0.5 * (G + G.conj().transpose(0, 2, 1))))
+        Y = np.sqrt(weight[ridx])[:, :, None] * cols[ridx[:, :, None], idx[:, None, :]]
+        blocks.append((idx, Y))
     return blocks
 
 
@@ -515,26 +519,23 @@ def frame_operator_distance(
 
     Each frame is a (2^n, m) array whose columns are the coefficient
     vectors x; the weights are taken relative to n^l, as rdm_frame returns
-    them.  By the direct-sum lemma of _gram_blocks the norm is the largest
-    over the support-connected blocks of the joint frame.  In a block with
-    Gram G = V diag(lam) V^H and weights S, the nonzero spectrum of the
-    operator is that of (V lam^1/2)^H S (V lam^1/2).  Eigenvalues of G at or
-    below 1e-12 times the largest over all blocks are dropped as rank
-    deficiency.  The CPT images (bar, transpose_antiauto, the axis flip and
-    the rotor of theta) keep every complement class {K, K^c}, so their
-    blocks have at most four columns; SO(n) rotors keep grade pairs {k, n-k}.
+    them.  The operator is n^-l Psi M Psi^H with M = X_a S_a X_a^H -
+    X_b S_b X_b^H, and by the lemma of _frame_blocks its nonzero spectrum
+    is that of W = (D^2 kern)^1/2 M (D^2 kern)^1/2, exactly and for any
+    rank, so nothing is cut off.  W is block diagonal over the support
+    blocks, each Y S Y^H of one block's rows.  The CPT images (bar,
+    transpose_antiauto, the axis flip and the rotor of theta) keep every
+    complement class {K, K^c}, so their blocks have at most two rows;
+    SO(n) rotors keep grade pairs {k, n-k}, one block of the weighted
+    monomials of both grades each.
     """
     signs = np.concatenate([np.full(cols_a.shape[1], float(coef_a)),
                             np.full(cols_b.shape[1], -float(coef_b))])
-    blocks = _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1))
-    spectra = [np.linalg.eigh(G) for _, G in blocks]
-    top = max((float(evals.max()) for evals, _ in spectra), default=0.0)
-    cut = 1e-12 * max(top, 1e-300)
     worst = 0.0
-    for (idx, _), (evals, vecs) in zip(blocks, spectra):
-        Y = vecs * np.sqrt(np.where(evals > cut, evals, 0.0))[:, None, :]
-        M = Y.conj().transpose(0, 2, 1) @ (signs[idx][:, :, None] * Y)
-        worst = max(worst, float(np.abs(np.linalg.eigvalsh(M)).max()))
+    for idx, Y in _frame_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1)):
+        W = (Y * signs[idx][:, None, :]) @ Y.conj().transpose(0, 2, 1)
+        W = 0.5 * (W + W.conj().transpose(0, 2, 1))
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(W)).max()))
     return worst
 
 
@@ -548,16 +549,16 @@ def frame_product_trace(
 ) -> float:
     """Tr(rho_a rho_b) for rho = n^-l sum c |psi(x)><psi(x)| over each frame.
 
-    Frames and weights as in frame_operator_distance; only pairs within one
-    support-connected block overlap, so the cross terms are summed block by
-    block.
+    Frames and weights as in frame_operator_distance.  By the lemma of
+    _frame_blocks the states overlap as the weighted coefficients Y, and
+    only columns within one support block overlap, so the sum runs over
+    the cross Gram Y_a^H Y_b of each block.
     """
     m_a = cols_a.shape[1]
     total = 0.0
-    for idx, G in _gram_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1)):
-        in_a = idx < m_a
-        cross = in_a[:, :, None] & ~in_a[:, None, :]
-        total += float((np.abs(G) ** 2)[cross].sum())
+    for idx, Y in _frame_blocks(n, l, np.concatenate([cols_a, cols_b], axis=1)):
+        Y_a = np.where(idx[:, None, :] < m_a, Y, 0.0)
+        total += float((np.abs(Y_a.conj().transpose(0, 2, 1) @ (Y - Y_a)) ** 2).sum())
     return float(coef_a * coef_b * total)
 
 
@@ -620,8 +621,8 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
     Returns (grade, eigenvalue, multiplicity) triples, grades ascending.
     Closed-form lemma: with kappa(k) = _grade_kernel(n, l)[k] >= 0, the
     overlap kernel over n^l at grade k, the frame of rdm_frame is
-    orthogonal across complement classes {K, K^c} (direct-sum lemma of
-    _gram_blocks).  For the pure states P_+- gamma_K has coefficients of
+    orthogonal across complement classes {K, K^c} (support blocks of
+    _frame_blocks).  For the pure states P_+- gamma_K has coefficients of
     modulus 1/2 on K and on K^c, and P gamma_K, P gamma_{K^c} are parallel,
     so each class of min grade k is one eigenvector with
 

@@ -533,7 +533,11 @@ def _check_time_reversal(ctx, n, l):
 
 
 def _check_on_site_breaking(ctx, n, l):
-    return _report_row(on_site_breaking_check(n, l, rotations=3, seed=ctx.config.seed))
+    report = on_site_breaking_check(n, l, rotations=3, seed=ctx.config.seed,
+                                    tol=ctx.config.tol_match)
+    nums = report.numbers  # the axis flip swaps the pair
+    margins = _verdict_margins(SWAPS, nums["flip_unmatched"], nums["flip_residual"])
+    return report.passed, {**nums, **margins}, report.notes
 
 
 # ---------------------------------------------------------------------------

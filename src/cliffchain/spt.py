@@ -8,10 +8,11 @@ no state vector is ever built.  Each image of a frame is an array
 expression: bar is cols.conj(), transpose_antiauto the reversal sign of
 each row, the axis flip -1 on the rows that hold gamma_1, and a rotor
 rotor_action(n, w) @ cols, or for the signed permutation theta a row
-gather times a sign.  Each frame distance is the largest over the
-support-connected blocks of the frame (mps.frame_operator_distance): bar,
-transpose_antiauto, the axis flip and the rotor of theta keep every
-complement class {K, K^c}, so those blocks have at most four columns, and
+gather times a sign.  Each frame distance is one eigvalsh per support
+block of the frame in kernel-weighted coefficient space
+(mps.frame_operator_distance), and a block is a set of monomial rows:
+bar, transpose_antiauto, the axis flip and the rotor of theta keep every
+complement class {K, K^c}, so those blocks have at most two rows, and
 SO(n) rotors keep grade pairs {k, n-k}.  The marginal spectra are the
 closed form mps.rdm_eigen_by_grade.
 
@@ -590,14 +591,17 @@ def _axis_flip_signs(n: int) -> np.ndarray:
     return np.where(np.arange(1 << n) & 1, -1, 1)
 
 
-def on_site_breaking_check(n: int, l: int, rotations: int = 5,
-                           seed: int = 0) -> VerificationReport:
+def on_site_breaking_check(n: int, l: int, rotations: int = 5, seed: int = 0,
+                           tol: float = VERDICT_TOL) -> VerificationReport:
     """Rotation invariance, reflection pairing, and entanglement equality.
 
     (a) random special rotations fix each state; (b) the determinant -1 axis
     flip maps the states to each other (to itself for odd n); (c) the two
-    states have identical spectra.  Each rotation's rotor is certified by
-    _certify_lift, and lift_residual is the largest of those margins.
+    states have identical spectra.  (a) and (b) pass below tol.  Each
+    rotation's rotor is certified by _certify_lift, and lift_residual is the
+    largest of those margins.  For even n, flip_unmatched is the distance
+    from the flipped plus state to the plus state, the margin of the flip
+    verdict.
     """
     rng = np.random.default_rng(seed)
     boundaries = ("plus", "minus") if n % 2 == 0 else ("omega",)
@@ -617,6 +621,8 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
     cols_d, c_d = frames[dst]
     flipped = _axis_flip_signs(n)[:, None] * cols
     r_flip = frame_operator_distance(n, l, flipped, c, cols_d, c_d)
+    margin = {} if src == dst else {
+        "flip_unmatched": frame_operator_distance(n, l, flipped, c, cols, c)}
 
     spec_a = rdm_eigen_by_grade(n, l, src)
     spec_b = rdm_eigen_by_grade(n, l, dst)
@@ -627,10 +633,11 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5,
             spectra_match = spectra_match and ga == gb and ma == mb
             r_spec = max(r_spec, abs(mua - mub))
 
-    passed = r_rot < VERDICT_TOL and r_flip < VERDICT_TOL and spectra_match and r_spec < 1e-10
+    passed = r_rot < tol and r_flip < tol and spectra_match and r_spec < 1e-10
     numbers = {
         "rotation_residual": r_rot,
         "flip_residual": r_flip,
+        **margin,
         "spectrum_deviation": r_spec,
         "rotations": float(rotations),
         "lift_residual": r_lift,

@@ -64,7 +64,7 @@ def test_component_labels_match_csgraph_on_general_graphs(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_component_stacks_match_csgraph_on_bipartite_graphs(seed):
-    # the support graph of _gram_blocks: m column nodes joined to dim row nodes
+    # the support graph of mps._frame_blocks: m column nodes joined to dim row nodes
     rng = np.random.default_rng(100 + seed)
     m, dim = int(rng.integers(2, 60)), int(rng.integers(2, 60))
     support = rng.random((dim, m)) < rng.uniform(0.01, 0.1)

@@ -22,8 +22,8 @@ from cliffchain.mps import (
     MpsFamily,
     _effective_sign,
     _grade_kernel,
+    _frame_blocks,
     _grade_weights,
-    _gram_blocks,
     _grades,
     _sign_left,
     _sign_right,
@@ -430,7 +430,22 @@ def test_blocked_frame_distance_matches_dense_oracle(n, l):
             assert abs(got - want) < 1e-12, (name, got, want)
         if name != "rotor":  # the CPT images keep every complement class
             joint = np.concatenate([image, frames["plus"][0]], axis=1)
-            assert max(idx.shape[1] for idx, _ in _gram_blocks(n, l, joint)) <= 4
+            blocks = _frame_blocks(n, l, joint)
+            assert max(idx.shape[1] for idx, _ in blocks) <= 4
+            assert max(Y.shape[1] for _, Y in blocks) <= 2
+
+
+@pytest.mark.parametrize("n, l", ((4, 4), (6, 5), (6, 6)))
+def test_rotor_blocks_are_grade_pairs(n, l):
+    # every grade of parity l mod 2 is weighted here (l >= n - 1), and a
+    # rotor mixes all of grade k while P gamma_K joins K to K^c, so each
+    # grade pair {k, n-k} is one block of all its monomial rows
+    cols, _ = rdm_frame(n, l, "plus")
+    image = rotor_action(n, _random_rotation(np.random.default_rng(5), n)) @ cols
+    blocks = _frame_blocks(n, l, np.concatenate([image, cols], axis=1))
+    got = sorted(Y.shape[1] for _, Y in blocks for _ in range(Y.shape[0]))
+    want = sorted(math.comb(n, k) * (1 if 2 * k == n else 2) for k in range(l % 2, n // 2 + 1, 2))
+    assert got == want
 
 
 def test_blocked_frame_distance_on_one_dense_block():
@@ -438,11 +453,32 @@ def test_blocked_frame_distance_on_one_dense_block():
     n, l = 6, 4
     a = rng.standard_normal((1 << n, 5)) + 1j * rng.standard_normal((1 << n, 5))
     b = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
-    blocks = _gram_blocks(n, l, np.concatenate([a, b], axis=1))
+    blocks = _frame_blocks(n, l, np.concatenate([a, b], axis=1))
     assert [idx.shape for idx, _ in blocks] == [(1, 9)]
     got = frame_operator_distance(n, l, a, 0.7, b, 1.3)
     want = _frame_operator_distance_oracle(n, l, a, 0.7, b, 1.3)
     assert abs(got - want) < 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("n, l", ((6, 2), (5, 3), (8, 4)))
+def test_frame_distance_on_rank_deficient_frames(n, l):
+    # no rank cut-off: duplicate and zero columns and columns on grades of
+    # zero kernel weight (above l) must give the oracle's value as they are
+    rng = np.random.default_rng(31 + n)
+    dim = 1 << n
+    a = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+    b = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    high = np.where((_grades(n) > l)[:, None], rng.standard_normal((dim, 2)), 0.0)
+    a[:, 1] = a[:, 0]
+    b[:, 2] = 0.0
+    b[:, 1] = a[:, 3]
+    a = np.concatenate([a, high], axis=1)
+    for coef_a, coef_b in ((0.7, 1.3), (1.0, 1.0)):
+        got = frame_operator_distance(n, l, a, coef_a, b, coef_b)
+        want = _frame_operator_distance_oracle(n, l, a, coef_a, b, coef_b)
+        assert abs(got - want) < 1e-12 * max(1.0, want), (got, want)
+    assert frame_operator_distance(n, l, high, 1.0, high[:, :1], 0.5) == 0.0
+    assert frame_product_trace(n, l, high, 1.0, a, 1.0) == 0.0
 
 
 def test_frame_product_trace_matches_the_gram_oracle():

@@ -146,12 +146,24 @@ def test_cpt_campaign_skips_odd_n_and_flags_swapped_time_reversal():
     assert tr[0]["numbers"]["time_reversal_swap"] < 1e-9
     conj = [r for r in report["checks"] if r["n"] == 6 and r["name"] == "conjugation"]
     assert conj[0]["status"] == "pass"
+    site = [r for r in report["checks"] if r["n"] == 6 and r["name"] == "on-site-breaking"]
+    assert site[0]["status"] == "pass"
     # every pair row carries both margins: the side its verdict chose, the side it rejected
-    for row in tr + conj:
+    for row in tr + conj + site:
         numbers = row["numbers"]
         assert numbers["matched_residual"] < 1e-9 < numbers["unmatched_residual"]
     assert tr[0]["numbers"]["matched_residual"] == tr[0]["numbers"]["time_reversal_swap"]
     assert tr[0]["numbers"]["unmatched_residual"] == tr[0]["numbers"]["time_reversal_fix"]
+    assert site[0]["numbers"]["matched_residual"] == site[0]["numbers"]["flip_residual"]
+    assert site[0]["numbers"]["unmatched_residual"] == site[0]["numbers"]["flip_unmatched"]
+
+
+def test_tol_match_reaches_the_on_site_breaking_row():
+    # rounding leaves residuals of order 1e-16, so a tolerance of 1e-30 fails the row
+    config = CampaignConfig("cpt", n_list=(4,), l_list=(4,), tol_match=1e-30)
+    rows = {r["name"]: r for r in run_campaign(config)["checks"]}
+    assert rows["on-site-breaking"]["numbers"]["rotation_residual"] > 1e-30
+    assert rows["on-site-breaking"]["status"] == "fail"
 
 
 def test_rdm_campaign_runs_past_the_old_grid_guards():

@@ -376,9 +376,21 @@ def test_on_site_breaking_check_even_n():
     assert rep.numbers["spectrum_deviation"] < 1e-10
 
 
+@pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (8, 4)))
+def test_on_site_breaking_reports_the_unmatched_flip_margin(n, l):
+    # the flipped plus state is the minus state, so its distance to the
+    # plus state is the plus/minus distance
+    rep = on_site_breaking_check(n, l, rotations=1)
+    plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
+    want = frame_operator_distance(n, l, *plus, *minus)
+    assert abs(rep.numbers["flip_unmatched"] - want) < 1e-12
+    assert rep.numbers["flip_residual"] < VERDICT_TOL < rep.numbers["flip_unmatched"]
+
+
 def test_on_site_breaking_check_odd_n_and_short_block():
     rep = on_site_breaking_check(3, 3, rotations=3)
     assert rep.passed, rep.summary()
+    assert "flip_unmatched" not in rep.numbers  # odd n: the flip maps the state to itself
     rep = on_site_breaking_check(6, 2, rotations=2)
     assert rep.passed, rep.summary()
 
