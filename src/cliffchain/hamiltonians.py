@@ -138,21 +138,6 @@ def q_matrix(n: int) -> np.ndarray:
     return np.outer(xi, xi.conj())
 
 
-def _total_casimir_three_halves() -> np.ndarray:
-    """(S1+S2+S3)^2 on three spin-1/2 sites."""
-    sys = spin_matrices(0.5)
-    eye = np.eye(2, dtype=complex)
-    total = np.zeros((8, 8), dtype=complex)
-    for S in sys.vector():
-        Stot = (
-            np.kron(S, np.kron(eye, eye))
-            + np.kron(eye, np.kron(S, eye))
-            + np.kron(eye, np.kron(eye, S))
-        )
-        total += Stot @ Stot
-    return total
-
-
 def majumdar_ghosh_raw() -> np.ndarray:
     """Pairwise sigma.sigma on three spin-1/2 sites (Pauli normalization)."""
     sys = spin_matrices(0.5)
@@ -180,9 +165,9 @@ def build_interaction(spec: InteractionSpec) -> np.ndarray:
         SS = casimir_su2_pair(1)
         h = np.eye(9, dtype=complex) / 3.0 + SS / 2.0 + (SS @ SS) / 6.0
     elif kind == "MAJUMDAR_GHOSH":
-        # projector onto total spin 3/2: spectral polynomial in (S1+S2+S3)^2,
-        # eigenvalues 15/4 and 3/4
-        C = _total_casimir_three_halves()
+        # projector onto total spin 3/2: spectral polynomial in
+        # (S1+S2+S3)^2 = 9/4 + (pairwise sigma.sigma) / 2, eigenvalues 15/4 and 3/4
+        C = 2.25 * np.eye(8) + majumdar_ghosh_raw() / 2
         h = (C - 0.75 * np.eye(8)) / 3.0
     elif kind == "HEISENBERG":
         SS = casimir_su2_pair(spec.two_s / 2.0)

@@ -20,6 +20,13 @@ with kern >= 0, so n^-l Psi M Psi^H has the nonzero spectrum of
 matrix splits into blocks over the disjoint monomial supports of the
 frame (frame_operator_distance, frame_product_trace).  Second, the
 marginal spectrum has a closed form per grade (rdm_eigen_by_grade).
+
+The bond domains are closed-form columns in the same format
+(_domain_columns): unit columns gamma_K for C_n and its grade parities,
+columns of _projected_columns for P_+ C_n and P_+- C_n^even.  Their
+supports are disjoint, so a domain's basis, its membership test (the
+residual off the span) and its basis states take no Clifford product;
+the conjugation alpha by gamma_1 is the sign vector alpha_signs.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .clifford import (
     _sign_left,
     _sign_right,
     _suffix_parity,
-    alpha,
     projectors_pm,
     realized_dim,
     reversal_sign,
@@ -115,22 +121,8 @@ class MpsFamily:
             raise ValueError(f"{self.bond_domain} domain needs even n")
 
     def basis(self) -> list[CliffordElement]:
-        n = self.n
-        if self.bond_domain == "full":
-            return [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
-        if self.bond_domain == "even":
-            return [CliffordElement(n, {b: 1.0}) for b in range(1 << n) if b.bit_count() % 2 == 0]
-        if self.bond_domain == "odd":
-            return [CliffordElement(n, {b: 1.0}) for b in range(1 << n) if b.bit_count() % 2 == 1]
-        P_plus, P_minus = projectors_pm(n)
-        if self.bond_domain == "p_plus":
-            return [P_plus * CliffordElement(n, {b: 1.0}) for b in range(1 << (n - 1))]
-        P = P_plus if self.bond_domain == "p_plus_even" else P_minus
-        return [
-            P * CliffordElement(n, {b: 1.0})
-            for b in range(1 << (n - 1))
-            if b.bit_count() % 2 == 0
-        ]
+        return [element_from_coefvec(self.n, x)
+                for x in _domain_columns(self.n, self.bond_domain)[1].T]
 
     def dim(self) -> int:
         if self.bond_domain == "full":
@@ -140,21 +132,36 @@ class MpsFamily:
         return 1 << (self.n - 2)
 
     def contains(self, B: CliffordElement, tol: float = 1e-12) -> bool:
+        """True iff B's residual off the span of the basis columns is below tol.
+
+        The columns X have disjoint supports, so X^H v divided by the squared
+        column norms is the orthogonal projection of v onto their span, exactly.
+        """
         if B.n != self.n:
             return False
-        scale = max(1.0, B.norm_max())
-        if self.bond_domain == "full":
-            return True
-        if self.bond_domain == "even":
-            return B.restrict_grades(range(1, self.n + 1, 2)).norm_max() < tol * scale
-        if self.bond_domain == "odd":
-            return B.restrict_grades(range(0, self.n + 1, 2)).norm_max() < tol * scale
-        P_plus, P_minus = projectors_pm(self.n)
-        if self.bond_domain == "p_plus":
-            return (P_plus * B - B).norm_max() < tol * scale
-        P = P_plus if self.bond_domain == "p_plus_even" else P_minus
-        even_ok = B.restrict_grades(range(1, self.n + 1, 2)).norm_max() < tol * scale
-        return even_ok and (P * B - B).norm_max() < tol * scale
+        X = _domain_columns(self.n, self.bond_domain)[1]
+        v = coefvec(B)
+        residual = v - X @ ((X.conj().T @ v) / (np.abs(X) ** 2).sum(axis=0))
+        return np.abs(residual).max() < tol * max(1.0, B.norm_max())
+
+
+def _domain_columns(n: int, bond_domain: str) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials K and coefficient columns of a bond domain's basis, in basis order.
+
+    full / even / odd: the monomials gamma_K of the domain's grade parities,
+    unit columns.  p_plus, p_plus_even, p_minus_even: P gamma_K for the K
+    below the top generator (of even grade for the _even domains), the
+    columns of _projected_columns.  Column K is supported on K and on
+    K xor full, so the columns have disjoint supports.
+    """
+    K = np.arange(1 << n)
+    even = _grades(n) % 2 == 0
+    if bond_domain in ("full", "even", "odd"):
+        keep = {"full": K >= 0, "even": even, "odd": ~even}[bond_domain]
+        return K[keep], np.eye(1 << n, dtype=complex)[:, keep]
+    keep = (K < 1 << (n - 1)) & (even | (bond_domain == "p_plus"))
+    sign = "minus" if bond_domain == "p_minus_even" else "plus"
+    return K[keep], _projected_columns(n, sign)[:, keep]
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +187,21 @@ def _string_tables(n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, sign
 
 
-def _psi(n: int, l: int, coefs: np.ndarray, cap: int = STATE_CAP) -> np.ndarray:
+def _psi(n: int, l: int, coefs: np.ndarray) -> np.ndarray:
     """psi of a coefficient vector (2^n,), or of each column of a (2^n, m) array."""
-    if n**l > cap:
-        raise ValueError(f"state dimension n^l = {n**l} exceeds cap {cap}")
+    if n**l > STATE_CAP:
+        raise ValueError(f"state dimension n^l = {n**l} exceeds cap {STATE_CAP}")
     bits, sign = _string_tables(n, l)
     extra = (1,) * (coefs.ndim - 1)
     b = coefs * _sq_signs(n).reshape(-1, *extra)
     return realized_dim(n) * sign.reshape(-1, *extra) * b[bits]
 
 
-def mps_vector(fam: MpsFamily, l: int, B: CliffordElement, cap: int = STATE_CAP) -> np.ndarray:
+def mps_vector(fam: MpsFamily, l: int, B: CliffordElement) -> np.ndarray:
     """psi(B): coefficient at (i_1..i_l) is Tr(B gamma_{i_l}...gamma_{i_1})."""
     if not fam.contains(B):
         raise ValueError(f"element outside the {fam.bond_domain} bond domain")
-    return _psi(fam.n, l, coefvec(B), cap)
+    return _psi(fam.n, l, coefvec(B))
 
 
 def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
@@ -209,8 +216,8 @@ def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
 
 
 def psi_minus(n: int, l: int, B: CliffordElement) -> np.ndarray:
-    """The - state map: psi_minus(B) = psi_plus(alpha(B))."""
-    return _psi(n, l, coefvec(alpha(B)))
+    """The - state map: psi_minus(B) = psi_plus(alpha(B)), alpha as alpha_signs."""
+    return _psi(n, l, alpha_signs(n) * coefvec(B))
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +247,13 @@ def e_matrix(n: int, A: np.ndarray) -> np.ndarray:
 
 
 def alpha_signs(n: int) -> np.ndarray:
-    """Diagonal of conjugation by gamma_1 on the monomial basis."""
-    out = np.empty(1 << n, dtype=np.int8)
-    for bits in range(1 << n):
-        k = bits.bit_count()
-        out[bits] = (-1) ** (k - (bits & 1))
-    return out
+    """Diagonal of conjugation by gamma_1 on the monomial basis.
+
+    gamma_1 gamma_K gamma_1 = _sign_left(0, K) gamma_{K xor 1} gamma_1
+    = _sign_left(0, K) _sign_right(0, K xor 1) gamma_K.
+    """
+    K = np.arange(1 << n, dtype=np.uint32)
+    return _sign_left(0, K) * _sign_right(0, K ^ np.uint32(1))
 
 
 def sigma_reflect(n: int, A: np.ndarray) -> np.ndarray:
@@ -347,8 +355,7 @@ def _p_plus_embedding(n: int, even: bool = False) -> tuple[np.ndarray, np.ndarra
 
     With even=True only the even-grade K are kept (the P_+ C_n^even basis).
     """
-    reps = [b for b in range(1 << (n - 1)) if not (even and b.bit_count() % 2)]
-    emb = _projected_columns(n, "plus")[:, reps]
+    reps, emb = _domain_columns(n, "p_plus_even" if even else "p_plus")
     res = np.zeros((len(reps), 1 << n), dtype=complex)
     res[np.arange(len(reps)), reps] = 2.0
     return emb, res
@@ -593,12 +600,10 @@ def rdm_frame(n: int, l: int, boundary: str) -> tuple[np.ndarray, float]:
     return _projected_columns(n, eff), 2.0 / D**2
 
 
-def reduced_density_matrix(
-    n: int, l: int, boundary: str = "plus", cap: int = DENSE_RDM_CAP
-) -> np.ndarray:
+def reduced_density_matrix(n: int, l: int, boundary: str = "plus") -> np.ndarray:
     """Dense l-site marginal of the chosen state, an n^l x n^l array."""
-    if n**l > cap:
-        raise ValueError(f"dense marginal dimension n^l = {n**l} exceeds cap {cap}")
+    if n**l > DENSE_RDM_CAP:
+        raise ValueError(f"dense marginal dimension n^l = {n**l} exceeds cap {DENSE_RDM_CAP}")
     cols, c = rdm_frame(n, l, boundary)
     Psi = _psi(n, l, cols)
     rho = (c / n**l) * (Psi @ Psi.conj().T)
@@ -653,18 +658,19 @@ def rdm_eigen_by_grade(n: int, l: int, boundary: str = "plus") -> list[tuple[int
     return out
 
 
-def basis_states(fam: MpsFamily, l: int, cap: int = STATE_CAP) -> np.ndarray:
+def basis_states(fam: MpsFamily, l: int) -> np.ndarray:
     """psi(B) for every basis element B of the bond domain, one column each.
 
-    The basis lies in the domain by construction, so unlike mps_vector no
-    membership check is made, and all columns come from one _psi call.
+    The basis columns lie in the domain by construction, so unlike
+    mps_vector no membership check is made, and all columns come from one
+    _psi call.
     """
-    return _psi(fam.n, l, np.stack([coefvec(B) for B in fam.basis()], axis=1), cap)
+    return _psi(fam.n, l, _domain_columns(fam.n, fam.bond_domain)[1])
 
 
-def injectivity_rank(fam: MpsFamily, l: int, cap: int = STATE_CAP) -> tuple[int, bool]:
+def injectivity_rank(fam: MpsFamily, l: int) -> tuple[int, bool]:
     """Rank of B -> psi(B) on the family's bond domain."""
-    Psi = basis_states(fam, l, cap)
+    Psi = basis_states(fam, l)
     svals = np.linalg.svd(Psi, compute_uv=False)
     rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())
     return rank, rank == fam.dim()

@@ -30,6 +30,7 @@ import numpy.random  # noqa: F401 (drawn from below; loaded at import, not insid
 import scipy
 
 from . import __version__
+from .checks import cluster_degeneracies
 from .clifford import (
     CliffordElement,
     _monomial_stack,
@@ -57,6 +58,7 @@ from .mps import (
     two_point_correlation,
 )
 from .so_n import (
+    CLUSTER_TOL,
     clebsch_gordan_dims,
     isotypic_decomposition,
     pieri_dimension_check,
@@ -648,11 +650,11 @@ def _check_isotypic_vector_pair(ctx, n, l):
 
 def _check_wedge_branching(ctx, n, l):
     for k in range(0, n + 1):
-        lhs, (lo, hi, rest) = pieri_dimension_check(n, k)
+        lhs, (lo, hi, _) = pieri_dimension_check(n, k)
         rep = isotypic_decomposition(so_n_casimir(n, _wedge_pair_rep(n, k)))
         if rep.total_dim != lhs:
             return False, {"k": k}, "total dimension mismatch"
-        expected = {}
+        wedge = []
         for kk, d in ((k - 1, lo), (k + 1, hi)):
             if d == 0:
                 continue
@@ -660,18 +662,18 @@ def _check_wedge_branching(ctx, n, l):
             val = float(Ck[0, 0].real)
             if np.abs(Ck - val * np.eye(len(Ck))).max() > 1e-10:
                 return False, {"k": k}, "wedge Casimir is not scalar"
-            key = round(val, 6)
-            expected[key] = expected.get(key, 0) + d
-        rest_found = 0
-        for val, d in rep.blocks:
-            key = round(val, 6)
-            if key in expected:
-                if d != expected[key]:
-                    return False, {"k": k}, "isotypic block size mismatch"
-            else:
-                rest_found += d
-        if rest_found != rest:
-            return False, {"k": k}, "leftover block size mismatch"
+            wedge += [val] * d
+        # The wedge^(k+-1) Casimirs cluster with their dimensions summed; each
+        # cluster must then join exactly one pair block, of the same size.  The
+        # pair blocks are more than tol apart, so no two of them can merge.
+        tol = CLUSTER_TOL * max(1.0, *(abs(v) for v, _ in rep.blocks))
+        expected = cluster_degeneracies(wedge, tol)
+        joint = cluster_degeneracies([v for v, _ in rep.blocks + expected], tol)
+        if len(joint) != len(rep.blocks):
+            return False, {"k": k}, "wedge summand missing from the pair blocks"
+        found = [d for (_, d), (_, m) in zip(rep.blocks, joint) if m > 1]
+        if found != [d for _, d in expected]:
+            return False, {"k": k}, "isotypic block size mismatch"
     return True, {"max_grade": n}, ""
 
 

@@ -6,7 +6,10 @@ dimension bookkeeping for V tensor V and for the wedge-power branching rule.
 
 Clifford side: the embedding L_ij -> (1/2) gamma_i gamma_j acting by
 commutators, raising operators built from f_a = gamma_{2a-1} + i gamma_{2a},
-and a highest-weight annihilation test.
+and a highest-weight annihilation test.  Grade k of C_n carries wedge^k V
+under that commutator, so the wedge powers come from it too: wedge_generator
+and adjoint_action both read [(1/2) gamma_i gamma_j, gamma_S] off the
+monomial sign rule (clifford._merge_sign), with no Clifford product.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .checks import cluster_degeneracies
-from .clifford import CliffordElement
+from .clifford import CliffordElement, _merge_sign
 
 CLUSTER_TOL = 1e-8
 
@@ -200,32 +203,23 @@ def pieri_dimension_check(n: int, k: int) -> tuple[int, list[int]]:
 
 
 def wedge_generator(n: int, k: int, i: int, j: int) -> np.ndarray:
-    """L_ij acting on wedge^k of the defining representation."""
-    L = so_generator(n, i, j)
-    subsets = list(combinations(range(n), k))
+    """L_ij acting on wedge^k of the defining representation.
+
+    Basis: the k-subsets S in lexicographic order, e_S <-> gamma_S.  Grade k
+    of C_n carries wedge^k V under B -> [(1/2) gamma_i gamma_j, B], and that
+    commutator is gamma_i gamma_j gamma_S when exactly one of i, j is in S
+    and 0 otherwise, so column S has the one entry _merge_sign(ij, S) at
+    row S xor ij.
+    """
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+    subsets = [sum(1 << t for t in S) for S in combinations(range(n), k)]
     pos = {S: a for a, S in enumerate(subsets)}
-    dim = len(subsets)
-    out = np.zeros((dim, dim))
-    for S, col in pos.items():
-        for slot, t in enumerate(S):
-            for r in range(n):
-                c = L[r, t]
-                if c == 0.0 or r in S and r != t:
-                    continue
-                newset = list(S)
-                newset[slot] = r
-                sign = 1.0
-                # bubble the replaced index back to sorted position
-                a = slot
-                while a > 0 and newset[a - 1] > newset[a]:
-                    newset[a - 1], newset[a] = newset[a], newset[a - 1]
-                    sign = -sign
-                    a -= 1
-                while a < k - 1 and newset[a + 1] < newset[a]:
-                    newset[a + 1], newset[a] = newset[a], newset[a + 1]
-                    sign = -sign
-                    a += 1
-                out[pos[tuple(newset)], col] += sign * c
+    ij = (1 << (i - 1)) | (1 << (j - 1))
+    out = np.zeros((len(subsets), len(subsets)))
+    for col, S in enumerate(subsets):
+        if (S & ij).bit_count() == 1:
+            out[pos[S ^ ij], col] = _merge_sign(ij, S)
     return out
 
 
@@ -248,12 +242,17 @@ def clifford_rep_so(n: int, A: np.ndarray) -> CliffordElement:
 
 
 def adjoint_action(n: int, ij: tuple[int, int], B: CliffordElement) -> CliffordElement:
-    """[ (1/2) gamma_i gamma_j, B ] -- so(n) acting on C_n; preserves grades."""
+    """[ (1/2) gamma_i gamma_j, B ] -- so(n) acting on C_n; preserves grades.
+
+    The commutator rule of wedge_generator, term by term: gamma_K goes to
+    _merge_sign(ij, K) gamma_{K xor ij} when exactly one of i, j is in K.
+    """
     i, j = ij
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
-    x = 0.5 * CliffordElement.gamma(n, i, j)
-    return x * B - B * x
+    bits = (1 << (i - 1)) | (1 << (j - 1))
+    return CliffordElement(n, {K ^ bits: _merge_sign(bits, K) * c
+                               for K, c in B.coef.items() if (K & bits).bit_count() == 1})
 
 
 def f_element(n: int, a: int) -> CliffordElement:

@@ -128,7 +128,8 @@ def _givens_factors(w: np.ndarray) -> list[tuple[float, int, int]]:
     for col in range(n - 1):
         for row in range(col + 1, n):
             a, b = A[col, col], A[row, col]
-            if abs(b) < 1e-14:
+            # a -1 pivot over a zero entry still needs the turn by pi
+            if abs(b) < 1e-14 and a >= 0:
                 continue
             th = math.atan2(b, a)
             A = rotation_matrix(n, th, col + 1, row + 1) @ A

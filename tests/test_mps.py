@@ -18,16 +18,20 @@ from cliffchain.clifford import (
     transpose_antiauto,
 )
 from cliffchain.mps import (
+    BOND_DOMAINS,
     BOUNDARIES,
     MpsFamily,
+    _domain_columns,
     _effective_sign,
     _grade_kernel,
     _frame_blocks,
     _grade_weights,
     _grades,
+    _psi,
     _sign_left,
     _sign_right,
     _sq_signs,
+    alpha_signs,
     coefvec,
     e_matrix,
     element_from_coefvec,
@@ -735,6 +739,103 @@ def test_rdm_eigen_by_grade_n10_values_unchanged_by_scaling():
 
 
 # --- structure of the family ----------------------------------------------
+
+
+def _product_basis_oracle(n, bond_domain):
+    """Oracle: a bond domain's basis as elements, P gamma_K by Clifford products.
+
+    MpsFamily.basis built its P_+- domains this way before the closed-form
+    columns of _domain_columns; kept only to cross-check them.
+    """
+    half = range(1 << (n - 1))
+    if bond_domain == "full":
+        return [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
+    if bond_domain in ("even", "odd"):
+        parity = bond_domain == "odd"
+        return [CliffordElement(n, {b: 1.0}) for b in range(1 << n) if b.bit_count() % 2 == parity]
+    P_plus, P_minus = projectors_pm(n)
+    if bond_domain == "p_plus":
+        return [P_plus * CliffordElement(n, {b: 1.0}) for b in half]
+    P = P_plus if bond_domain == "p_plus_even" else P_minus
+    return [P * CliffordElement(n, {b: 1.0}) for b in half if b.bit_count() % 2 == 0]
+
+
+def _contains_oracle(fam, B, tol=1e-12):
+    """Oracle: MpsFamily.contains by grade restriction and P B = B, as products."""
+    scale = max(1.0, B.norm_max())
+    n, dom = fam.n, fam.bond_domain
+    if dom == "full":
+        return True
+    odd_part = B.restrict_grades(range(1, n + 1, 2)).norm_max() < tol * scale
+    even_part = B.restrict_grades(range(0, n + 1, 2)).norm_max() < tol * scale
+    if dom == "even":
+        return odd_part
+    if dom == "odd":
+        return even_part
+    P_plus, P_minus = projectors_pm(n)
+    if dom == "p_plus":
+        return (P_plus * B - B).norm_max() < tol * scale
+    P = P_plus if dom == "p_plus_even" else P_minus
+    return odd_part and (P * B - B).norm_max() < tol * scale
+
+
+def _families(n):
+    for dom in BOND_DOMAINS:
+        try:
+            yield MpsFamily(n, dom)
+        except ValueError:
+            continue
+
+
+def test_domain_columns_match_the_product_basis():
+    for n in range(2, 9):
+        for fam in _families(n):
+            want = _product_basis_oracle(n, fam.bond_domain)
+            K, cols = _domain_columns(n, fam.bond_domain)
+            assert cols.dtype == complex and cols.shape == (1 << n, fam.dim())
+            assert np.array_equal(cols, _stack(want)), (n, fam.bond_domain)
+            assert (cols[K, np.arange(len(K))] != 0).all()
+            assert [B.coef for B in fam.basis()] == [B.coef for B in want]
+            # disjoint supports: one nonzero column per row at most
+            assert ((cols != 0).sum(axis=1) <= 1).all()
+
+
+def test_contains_matches_the_product_oracle():
+    rng = np.random.default_rng(41)
+    for n in range(2, 8):
+        fams = list(_families(n))
+        for fam in fams:
+            inside = []
+            for _ in range(3):
+                x = rng.normal(size=fam.dim()) + 1j * rng.normal(size=fam.dim())
+                inside.append(element_from_coefvec(n, _domain_columns(n, fam.bond_domain)[1] @ x))
+            for B in inside:
+                assert fam.contains(B) and _contains_oracle(fam, B)
+            # elements of the other domains, random elements and single monomials
+            others = [B for other in fams for B in other.basis()[:4]]
+            others += [rand_element(rng, n) for _ in range(4)]
+            others += [CliffordElement(n, {b: 1.0}) for b in range(1 << n)]
+            for B in others:
+                assert fam.contains(B) == _contains_oracle(fam, B), (n, fam.bond_domain, B)
+            assert not fam.contains(g(n + 1, 1))
+
+
+def test_alpha_signs_match_conjugation_by_gamma_1():
+    for n in range(1, 11):
+        want = [(-1) ** (b.bit_count() - (b & 1)) for b in range(1 << n)]
+        assert alpha_signs(n).dtype == np.int8
+        assert alpha_signs(n).tolist() == want
+    for n in (2, 5):
+        for b in range(1 << n):
+            assert alpha(CliffordElement(n, {b: 1.0})).coef == {b: alpha_signs(n)[b]}
+
+
+def test_psi_minus_is_psi_of_alpha():
+    rng = np.random.default_rng(43)
+    for n in (3, 4, 5, 6):
+        for l in (1, 2, 3, 4):
+            B = rand_element(rng, n)
+            assert np.array_equal(psi_minus(n, l, B), _psi(n, l, coefvec(alpha(B))))
 
 
 def test_injectivity_ranks():

@@ -275,3 +275,31 @@ def test_a_raising_shared_input_fails_rows_not_the_campaign(monkeypatch):
         assert row["notes"] == "error: ValueError: no spectrum"
     assert "mu_by_length" not in report["tables"]
     assert report["summary"]["fail"] == 5
+
+
+def test_all_campaign_forms_no_clifford_product(monkeypatch):
+    calls = []
+    product = clifford.CliffordElement.__mul__
+
+    def counted(self, other):
+        calls.append(type(other).__name__)
+        return product(self, other)
+
+    monkeypatch.setattr(clifford.CliffordElement, "__mul__", counted)
+    report = run_campaign(CampaignConfig("all", n_list=(3, 4)))
+    assert report["summary"]["pass"] > 0
+    assert calls == []
+
+
+def test_wedge_branching_fails_on_a_generator_with_a_wrong_sign(monkeypatch):
+    right = reporting.wedge_generator
+
+    def wrong(n, k, i, j):
+        return -right(n, k, i, j) if (i, j) == (1, 2) else right(n, k, i, j)
+
+    monkeypatch.setattr(reporting, "wedge_generator", wrong)
+    report = run_campaign(CampaignConfig("repr-dims", n_list=(3, 4, 5, 6)))
+    for n in (3, 4, 5, 6):
+        row = _row(report, "wedge-branching", n, None)
+        assert row["status"] == "fail"
+        assert row["notes"] == "wedge summand missing from the pair blocks"

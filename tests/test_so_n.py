@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from cliffchain.checks import cluster_degeneracies
 from cliffchain.clifford import CliffordElement, dist, gamma0, hodge_star
 from cliffchain.so_n import (
     adjoint_action,
@@ -154,9 +157,54 @@ def test_pieri_dimension_examples():
     assert lhs == 3 and sum(parts) == 3
 
 
+def _wedge_generator_oracle(n, k, i, j):
+    """Oracle: L_ij on wedge^k by replacing each slot and bubble-sorting the subset.
+
+    wedge_generator took this route before it read the Clifford commutator
+    off the monomial sign rule; kept only to cross-check it.
+    """
+    L = so_generator(n, i, j)
+    subsets = list(combinations(range(n), k))
+    pos = {S: a for a, S in enumerate(subsets)}
+    out = np.zeros((len(subsets), len(subsets)))
+    for S, col in pos.items():
+        for slot, t in enumerate(S):
+            for r in range(n):
+                c = L[r, t]
+                if c == 0.0 or r in S and r != t:
+                    continue
+                newset = list(S)
+                newset[slot] = r
+                sign = 1.0
+                a = slot
+                while a > 0 and newset[a - 1] > newset[a]:
+                    newset[a - 1], newset[a] = newset[a], newset[a - 1]
+                    sign = -sign
+                    a -= 1
+                while a < k - 1 and newset[a + 1] < newset[a]:
+                    newset[a + 1], newset[a] = newset[a], newset[a + 1]
+                    sign = -sign
+                    a += 1
+                out[pos[tuple(newset)], col] += sign * c
+    return out
+
+
+def test_wedge_generator_matches_the_subset_loop_oracle():
+    for n in range(2, 9):
+        for k in range(n + 1):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    got = wedge_generator(n, k, i, j)
+                    assert np.array_equal(got, _wedge_generator_oracle(n, k, i, j)), (n, k, i, j)
+    with pytest.raises(ValueError):
+        wedge_generator(4, 2, 3, 3)
+    with pytest.raises(ValueError):
+        wedge_generator(4, 2, 1, 5)
+
+
 def _wedge_pair_rep(n, k):
     def apply(i, j):
-        Lk = wedge_generator(n, k, i, j)
+        Lk = _wedge_generator_oracle(n, k, i, j)
         L1 = so_generator(n, i, j)
         return np.kron(Lk, np.eye(n)) + np.kron(np.eye(len(Lk)), L1)
 
@@ -165,29 +213,42 @@ def _wedge_pair_rep(n, k):
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_pieri_against_casimir_clustering(n):
-    from math import comb
-
+    # wedge^k V x V = wedge^(k-1) + wedge^(k+1) + rest, on the oracle generators:
+    # each wedge^(k+-1) Casimir cluster is one cluster of the pair spectrum
     for k in range(0, n + 1):
         lhs, (lo, hi, rest) = pieri_dimension_check(n, k)
-        rep = isotypic_decomposition(so_n_casimir(n, _wedge_pair_rep(n, k)))
-        assert rep.total_dim == lhs
-        # Casimir scalars of the two wedge summands, computed on their own reps
-        expected = {}
+        C = so_n_casimir(n, _wedge_pair_rep(n, k))
+        evals = np.linalg.eigvalsh(C)
+        assert len(evals) == lhs
+        tol = 1e-8 * max(1.0, np.abs(evals).max())
+        blocks = cluster_degeneracies(evals, tol)
+        wedge = []
         for kk, d in ((k - 1, lo), (k + 1, hi)):
             if d == 0:
                 continue
-            Ck = so_n_casimir(n, lambda i, j, kk=kk: wedge_generator(n, kk, i, j))
+            Ck = so_n_casimir(n, lambda i, j, kk=kk: _wedge_generator_oracle(n, kk, i, j))
             val = float(Ck[0, 0].real)
             assert np.abs(Ck - val * np.eye(len(Ck))).max() < 1e-10
-            expected[round(val, 6)] = expected.get(round(val, 6), 0) + d
-        got = {round(v, 6): d for v, d in rep.blocks}
-        rest_found = 0
-        for val, d in got.items():
-            if val in expected:
-                assert d == expected[val]
-            else:
-                rest_found += d
-        assert rest_found == rest
+            assert abs(val - kk * (n - kk)) < 1e-10
+            wedge += [val] * d
+        matched = 0
+        for val, d in cluster_degeneracies(wedge, tol):
+            near = [b for v, b in blocks if abs(v - val) <= tol]
+            assert near == [d]
+            matched += d
+        assert lhs - matched == rest
+
+
+def test_adjoint_action_matches_the_two_product_commutator():
+    rng = np.random.default_rng(23)
+    for n in range(2, 8):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                x = 0.5 * CliffordElement.gamma(n, i, j)
+                B = CliffordElement(n, {int(b): complex(*rng.normal(size=2))
+                                        for b in rng.integers(0, 1 << n, size=6)})
+                got = adjoint_action(n, (i, j), B)
+                assert dist(got, x * B - B * x) <= 1e-15
 
 
 def test_adjoint_action_examples():

@@ -166,6 +166,27 @@ def test_certify_lift_rejects_a_rotor_of_another_rotation():
         spin_lift(4, np.eye(3))
 
 
+def test_givens_sweep_turns_a_minus_one_pivot_over_a_zero_column():
+    # diag(-1, -1, 1) has a -1 pivot with an exact zero below it: one turn by pi
+    assert [(abs(th), i, j) for th, i, j in _givens_factors(np.diag([-1.0, -1.0, 1.0]))] == [
+        (np.pi, 1, 2)]
+    for w, bits in ((np.diag([-1.0, -1.0, 1.0]), 0b11), (-np.eye(4), 0b1111)):
+        n = len(w)
+        Pi, Pi_inv = spin_lift(n, w)
+        assert set(Pi.coef) == {bits}
+        assert abs(abs(Pi.coef[bits]) - 1.0) < 1e-15 and abs(Pi.coef[bits].imag) == 0.0
+        for i in range(1, n + 1):
+            image = Pi * CliffordElement.gamma(n, i) * Pi_inv
+            assert dist(image, rotate_generator(n, w, i)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+def test_theta_lifts_at_odd_n(n):
+    th = theta_matrix(n)
+    assert _certify_lift(n, th, _rotor_coefficients(n, th)) < 1e-13
+    spin_lift(n, th)
+
+
 def test_intertwining_with_site_rotations():
     # w tensored over sites acts on the state as bond conjugation by the rotor
     rng = np.random.default_rng(31)
