@@ -9,7 +9,6 @@ dropped. Also runs the two standard su(2) reference models.
 
 from cliffchain import (
     aklt_su2,
-    build_interaction,
     chain_kernel,
     frustration_free_check,
     majumdar_ghosh,
@@ -29,14 +28,14 @@ print("n=4 l=6 state space dim:", G.shape[1])
 
 # frustration-freeness certificate: the dense kernel of the whole chain
 # (the oracle) equals the site-by-site intersection of the term kernels
-report = frustration_free_check(so_n_aklt(3), 4)
+report = frustration_free_check(so_n_aklt(3), 4, 3)
 print(report.summary())
 
 # spin-1 chain: four ground states on four sites
-K = chain_kernel(build_interaction(aklt_su2()), 4, 3)
+K = chain_kernel(aklt_su2(), 4, 3)
 print("spin-1 chain l=4 kernel dim:", K.dim)
 
 # dimer chain (three-site term): kernel dimension alternates 5, 4, 5, 4
-h = build_interaction(majumdar_ghosh())
+h = majumdar_ghosh()
 for l in (4, 5, 6, 7):
     print(f"dimer chain l={l} kernel dim:", chain_kernel(h, l, 2).dim)

@@ -10,10 +10,12 @@ from cliffchain import (
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
-    cpt_report,
+    conjugation_check,
     mps_spt_index,
     product_tensors,
+    reflection_check,
     theta_matrix,
+    time_reversal_check,
 )
 import numpy as np
 
@@ -32,9 +34,11 @@ print("product family index:", mps_spt_index(product_tensors(4)))
 # discrete symmetries on the pure-state pair, n mod 4 decides
 print()
 for n, l in ((4, 4), (6, 6)):
-    report = cpt_report(n, l)
-    print(f"n={n} l={l}: conjugation {report.conjugation}, "
-          f"reflection {report.reflection}, time reversal {report.time_reversal}")
+    conjugation, _ = conjugation_check(n, l)
+    reflection, _ = reflection_check(n, l)
+    time_reversal, _ = time_reversal_check(n, l)
+    print(f"n={n} l={l}: conjugation {conjugation}, "
+          f"reflection {reflection}, time reversal {time_reversal}")
 
 # the time-reversal rotation is orthogonal with determinant one
 dets = [np.linalg.det(theta_matrix(n)) for n in range(2, 9)]

@@ -5,42 +5,31 @@ __version__ = "0.1.0"
 from .checks import VerificationReport, cluster_degeneracies
 from .clifford import (
     CliffordElement,
-    GammaIndex,
     MatrixRealization,
     alpha,
     dist,
     gamma0,
-    gamma_mul,
-    hodge_star,
     matrix_rep,
     projectors_pm,
     realize,
     realized_dim,
     trace,
-    trace_pair,
     transpose_antiauto,
 )
 from .hamiltonians import (
-    InteractionSpec,
     KernelBasis,
     aklt_su2,
-    bilinear_biquadratic,
-    build_interaction,
     chain_entries,
     chain_kernel,
     frustration_free_check,
-    heisenberg,
     kernel_basis,
-    low_spectrum,
     majumdar_ghosh,
     mps_ground_space,
     parent_check,
     projector_distance,
     q_matrix,
     so_n_aklt,
-    south_pole,
     swap_matrix,
-    swap_q,
 )
 from .mps import (
     MpsFamily,
@@ -72,14 +61,12 @@ from .so_n import (
 )
 from .spt import (
     BondSymmetry,
-    CptReport,
     RotationPair,
     TensorFamily,
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
     conjugation_check,
-    cpt_report,
     extract_bond_symmetry,
     mps_spt_index,
     on_site_breaking_check,

@@ -5,9 +5,9 @@ Basis monomials gamma_I = gamma_{i_1}...gamma_{i_k} (i_1 < ... < i_k) are encode
 as bitmasks, so products reduce to XOR plus a sign from counting transpositions.
 Every sign comes from one word: bit t of _suffix_parity(I) is the parity of
 the generators of I above t, and gamma_I gamma_J = (-1)^parity(word & J)
-gamma_{I xor J}.  Products, gamma_mul, the generator moves on coefficient
-vectors (_sign_left, _sign_right) and the batched pair products on
-coefficient arrays (_pair_products) all use it; realize and the stacked
+gamma_{I xor J}.  Products, the generator moves on coefficient vectors
+(_sign_left, _sign_right) and the batched pair products on coefficient
+arrays (_pair_products) all use it; realize and the stacked
 monomial images (_monomial_stack) do not, so the matrix realization stays an
 independent check.  The clifford-selftest campaign checks the array form of
 the rule, in batch, against that sign-free realization.
@@ -42,35 +42,16 @@ def realized_dim(n: int) -> int:
     return 1 << (n // 2)
 
 
-@dataclass(frozen=True)
-class GammaIndex:
-    """One basis monomial gamma_I, I a subset of {1..n} stored as a bitmask."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        _check_rank(self.n)
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits:#x} out of range for n={self.n}")
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "GammaIndex":
-        bits = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"generator index {i} out of range 1..{n}")
-            if bits & (1 << (i - 1)):
-                raise ValueError(f"repeated generator index {i}")
-            bits |= 1 << (i - 1)
-        return cls(n, bits)
-
-    @property
-    def grade(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
+def _index_mask(n: int, indices) -> int:
+    """Bitmask of the monomial gamma_I of C_n, I a set of distinct 1-based indices."""
+    bits = 0
+    for i in indices:
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} out of range 1..{n}")
+        if bits & (1 << (i - 1)):
+            raise ValueError(f"repeated generator index {i}")
+        bits |= 1 << (i - 1)
+    return bits
 
 
 def _suffix_parity(bits):
@@ -148,22 +129,6 @@ def _pair_products(ia: np.ndarray, ca: np.ndarray, ib: np.ndarray, cb: np.ndarra
     return (re + 1j * im).reshape(samples, size)
 
 
-def gamma_mul(I: GammaIndex, J: GammaIndex) -> tuple[int, GammaIndex]:
-    """Product of two basis monomials: gamma_I gamma_J = sign * gamma_K."""
-    if I.n != J.n:
-        raise ValueError("rank mismatch")
-    return _merge_sign(I.bits, J.bits), GammaIndex(I.n, I.bits ^ J.bits)
-
-
-def trace_pair(I: GammaIndex, J: GammaIndex) -> float:
-    """Trace of gamma_I gamma_J: zero unless I = J, else +-D by grade mod 4."""
-    if I.n != J.n:
-        raise ValueError("rank mismatch")
-    if I.bits != J.bits:
-        return 0.0
-    return float(reversal_sign(I.grade) * realized_dim(I.n))
-
-
 @dataclass(frozen=True, eq=False)
 class CliffordElement:
     """Sparse element of C_n: map bitmask -> complex coefficient.
@@ -192,7 +157,7 @@ class CliffordElement:
 
     @classmethod
     def gamma(cls, n: int, *indices) -> "CliffordElement":
-        return cls(n, {GammaIndex.from_indices(n, indices).bits: 1.0})
+        return cls(n, {_index_mask(n, indices): 1.0})
 
     # -- linear structure ---------------------------------------------
 
@@ -304,11 +269,6 @@ def projectors_pm(n: int) -> tuple[CliffordElement, CliffordElement]:
     g0 = gamma0(n)
     one = CliffordElement.one(n)
     return (one + g0).scale(0.5), (one - g0).scale(0.5)
-
-
-def hodge_star(B: CliffordElement) -> CliffordElement:
-    """Left multiplication by gamma0; exchanges grades k <-> n-k."""
-    return gamma0(B.n) * B
 
 
 def alpha(B: CliffordElement) -> CliffordElement:

@@ -1,19 +1,20 @@
 """Two- and three-site interactions, open chains, and kernel extraction.
 
-The assembled chain is one numpy array of nonzero entries (rows, cols,
-vals) of the sum of the local terms (chain_entries); it serves only the
-dense oracles (kernel_basis, low_spectrum), and the module computes with
-numpy alone.  The kernel of an open chain of PSD terms is the
-intersection of the term kernels, and chain_kernel grows it one site at a
-time as an isometric MPS.  By the isometry lemma in its docstring, each
-step's rank decision is one SVD of an (r_k d^s) x (r_m d) bond-space
-matrix, with the singular values and right singular vectors of the
-d^(m+1)-row chain matrix, and the singular values on both sides of the
+A local term is a plain Hermitian array on (C^d)^s, and every chain
+routine takes it with its local dimension d.  The assembled chain is one
+numpy array of nonzero entries (rows, cols, vals) of the sum of the local
+terms (chain_entries); it serves only the dense oracle kernel_basis, and
+the module computes with numpy alone.  The kernel of an open chain of PSD
+terms is the intersection of the term kernels, and chain_kernel grows it
+one site at a time as an isometric MPS.  By the isometry lemma in its
+docstring, each step's rank decision is one SVD of an (r_k d^s) x (r_m d)
+bond-space matrix, with the singular values and right singular vectors of
+the d^(m+1)-row chain matrix, and the singular values on both sides of the
 cut-off are the certificate.  kernel_basis, the oracle it is checked
-against, eigensolves the assembled chain up to
-DENSE_EIG_CAP, block by block: the connected components of the support
-graph of H make it block diagonal (the direct-sum lemma in kernel_basis),
-and for the SO(n) chains they are the 2^(n-1) colour-parity sectors.
+against, eigensolves the assembled chain up to DENSE_EIG_CAP, block by
+block: the connected components of the support graph of H make it block
+diagonal (the direct-sum lemma in kernel_basis), and for the SO(n) chains
+they are the 2^(n-1) colour-parity sectors.
 """
 
 from __future__ import annotations
@@ -43,81 +44,6 @@ def __getattr__(name: str):
 
         return scipy.sparse.linalg
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-KINDS = (
-    "SWAP_Q",
-    "SO_N_AKLT",
-    "SOUTH_POLE",
-    "AKLT_SU2",
-    "MAJUMDAR_GHOSH",
-    "HEISENBERG",
-    "BILINEAR_BIQUADRATIC",
-)
-
-_SO_KINDS = ("SWAP_Q", "SO_N_AKLT", "SOUTH_POLE")
-
-
-@dataclass(frozen=True)
-class InteractionSpec:
-    """Recipe for one translation-invariant local term.
-
-    n is the local dimension for the SO(n) kinds; two_s is the doubled site
-    spin for the su(2) kinds (doubled so half-integer spins stay exact).
-    """
-
-    kind: str
-    n: int = 0
-    two_s: int = 0
-    a: float = 0.0
-    b: float = 0.0
-    J: float = 1.0
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown interaction kind {self.kind!r}")
-        if self.kind in _SO_KINDS and self.n < 2:
-            raise ValueError(f"{self.kind} needs a local dimension n >= 2, got {self.n}")
-        if self.kind not in _SO_KINDS and self.two_s < 1:
-            raise ValueError(f"{self.kind} needs a positive site spin")
-
-    @property
-    def local_dim(self) -> int:
-        if self.kind in _SO_KINDS:
-            return self.n
-        return self.two_s + 1
-
-    @property
-    def support(self) -> int:
-        return 3 if self.kind == "MAJUMDAR_GHOSH" else 2
-
-
-def swap_q(n: int, a: float, b: float) -> InteractionSpec:
-    return InteractionSpec("SWAP_Q", n=n, a=a, b=b)
-
-
-def so_n_aklt(n: int) -> InteractionSpec:
-    return InteractionSpec("SO_N_AKLT", n=n)
-
-
-def south_pole(n: int) -> InteractionSpec:
-    return InteractionSpec("SOUTH_POLE", n=n)
-
-
-def aklt_su2() -> InteractionSpec:
-    return InteractionSpec("AKLT_SU2", two_s=2)
-
-
-def majumdar_ghosh() -> InteractionSpec:
-    return InteractionSpec("MAJUMDAR_GHOSH", two_s=1)
-
-
-def heisenberg(s, J: float = 1.0) -> InteractionSpec:
-    return InteractionSpec("HEISENBERG", two_s=spin_matrices(s).two_s, J=J)
-
-
-def bilinear_biquadratic(theta: float) -> InteractionSpec:
-    return InteractionSpec("BILINEAR_BIQUADRATIC", two_s=2, theta=theta)
 
 
 def swap_matrix(n: int) -> np.ndarray:
@@ -151,34 +77,33 @@ def majumdar_ghosh_raw() -> np.ndarray:
     return out
 
 
-def build_interaction(spec: InteractionSpec) -> np.ndarray:
-    """Dense local term on (C^d)^support, Hermitian by construction."""
-    kind = spec.kind
-    if kind == "SWAP_Q":
-        h = spec.a * swap_matrix(spec.n) + spec.b * q_matrix(spec.n)
-    elif kind == "SO_N_AKLT":
-        n = spec.n
-        h = np.eye(n * n, dtype=complex) + swap_matrix(n) - 2.0 * q_matrix(n)
-    elif kind == "SOUTH_POLE":
-        h = -q_matrix(spec.n)
-    elif kind == "AKLT_SU2":
-        SS = casimir_su2_pair(1)
-        h = np.eye(9, dtype=complex) / 3.0 + SS / 2.0 + (SS @ SS) / 6.0
-    elif kind == "MAJUMDAR_GHOSH":
-        # projector onto total spin 3/2: spectral polynomial in
-        # (S1+S2+S3)^2 = 9/4 + (pairwise sigma.sigma) / 2, eigenvalues 15/4 and 3/4
-        C = 2.25 * np.eye(8) + majumdar_ghosh_raw() / 2
-        h = (C - 0.75 * np.eye(8)) / 3.0
-    elif kind == "HEISENBERG":
-        SS = casimir_su2_pair(spec.two_s / 2.0)
-        h = spec.J * SS
-    else:  # BILINEAR_BIQUADRATIC
-        SS = casimir_su2_pair(1)
-        h = np.cos(spec.theta) * SS + np.sin(spec.theta) * (SS @ SS)
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    """h itself, after asserting that it is Hermitian to 1e-12."""
     dev = np.max(np.abs(h - h.conj().T))
     if dev > 1e-12:
         raise AssertionError(f"local term lost hermiticity, deviation {dev:.3e}")
     return h
+
+
+def so_n_aklt(n: int) -> np.ndarray:
+    """The SO(n) AKLT term 1 + SWAP - 2Q on C^n x C^n, the parent term of the Clifford chains."""
+    if n < 2:
+        raise ValueError(f"so_n_aklt needs a local dimension n >= 2, got {n}")
+    return _hermitian(np.eye(n * n, dtype=complex) + swap_matrix(n) - 2.0 * q_matrix(n))
+
+
+def aklt_su2() -> np.ndarray:
+    """The spin-1 AKLT term 1/3 + S.S/2 + (S.S)^2/6, the spin-2 projector on V_1 x V_1."""
+    SS = casimir_su2_pair(1)
+    return _hermitian(np.eye(9, dtype=complex) / 3.0 + SS / 2.0 + (SS @ SS) / 6.0)
+
+
+def majumdar_ghosh() -> np.ndarray:
+    """The Majumdar-Ghosh term on three spin-1/2 sites: the projector onto total spin 3/2."""
+    # spectral polynomial in (S1+S2+S3)^2 = 9/4 + (pairwise sigma.sigma) / 2,
+    # eigenvalues 15/4 and 3/4
+    C = 2.25 * np.eye(8) + majumdar_ghosh_raw() / 2
+    return _hermitian((C - 0.75 * np.eye(8)) / 3.0)
 
 
 def _support(h: np.ndarray, d: int) -> int:
@@ -420,22 +345,6 @@ def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBas
     return KernelBasis(V, np.linalg.norm(HV, axis=0), tol_eff, kept, dropped)
 
 
-def low_spectrum(spec: InteractionSpec, l: int, k: int = 6) -> np.ndarray:
-    """k smallest chain eigenvalues, ascending, from dense eigensolves of H's blocks.
-
-    The blocks are those of kernel_basis (the direct-sum lemma there).  A
-    chain of dimension above DENSE_EIG_CAP is refused before it is built,
-    as kernel_basis refuses it.
-    """
-    dim = spec.local_dim**l
-    if dim > DENSE_EIG_CAP:
-        raise ValueError(f"dense spectrum of dimension {dim} exceeds {DENSE_EIG_CAP}")
-    H = chain_entries(build_interaction(spec), l, spec.local_dim)
-    vals = np.concatenate([np.linalg.eigvalsh(stack).ravel()
-                           for _, stack in _diagonal_blocks(H)])
-    return np.sort(vals)[: min(k, dim)]
-
-
 def mps_ground_space(n: int, l: int) -> np.ndarray:
     """Orthonormal basis of the span of the length-l bond-algebra states.
 
@@ -483,7 +392,7 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
     if n**l > cap:
         raise ValueError(f"chain dimension {n}^{l} exceeds the cap {cap}")
     expected = 2 ** (n - 1)
-    K = chain_kernel(build_interaction(so_n_aklt(n)), l, n, tol)
+    K = chain_kernel(so_n_aklt(n), l, n, tol)
     G = mps_ground_space(n, l)
     dist = projector_distance(K.vectors, G)
     passed = K.dim == expected and G.shape[1] == expected and dist < 1e-8
@@ -500,9 +409,9 @@ def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
     return VerificationReport(f"parent_check(n={n}, l={l})", passed, numbers)
 
 
-def frustration_free_check(spec: InteractionSpec, l: int,
+def frustration_free_check(h: np.ndarray, l: int, d: int,
                            tol: float = 1e-10) -> VerificationReport:
-    """Shift the term to PSD, then test ker(sum h_x) = intersection of ker h_x.
+    """Shift the d-level term h to PSD, then test ker(sum h_x) = intersection of ker h_x.
 
     The two sides are computed independently: the left by the dense oracle
     kernel_basis on the assembled chain, the right by chain_kernel's
@@ -514,10 +423,8 @@ def frustration_free_check(spec: InteractionSpec, l: int,
     reported as oracle_cutoff and cutoff.  A chain of dimension above
     DENSE_EIG_CAP is refused before it is built.
     """
-    d = spec.local_dim
     if d**l > DENSE_EIG_CAP:
         raise ValueError(f"dense kernel of dimension {d}^{l} exceeds {DENSE_EIG_CAP}")
-    h = build_interaction(spec)
     shift = float(np.min(np.linalg.eigvalsh(h)))
     h_psd = h - shift * np.eye(h.shape[0])
 
@@ -542,4 +449,4 @@ def frustration_free_check(spec: InteractionSpec, l: int,
         "oracle_blocks": float(len(K.blocks)),
         "oracle_largest_block": float(max(K.blocks, default=0)),
     }
-    return VerificationReport(f"frustration_free_check({spec.kind}, l={l})", passed, numbers)
+    return VerificationReport(f"frustration_free_check(d={d}, l={l})", passed, numbers)

@@ -2,12 +2,12 @@
 
 The state vectors are psi(B)_{i_1..i_l} = Tr(B gamma_{i_l} ... gamma_{i_1}),
 computed by abstract traces (bitmask tables), never by contracting realized
-matrices.  Expectation values use the transfer maps
+matrices.  Expectation values use the transfer map
 
     E_A(B)   = (1/n) sum_ij A_ij gamma_i B gamma_j
-    F1_A     = alpha o E_{RAR},   F2_A = alpha o E_A   (on P_+ C_n^even)
 
-acting on coefficient vectors over the 2^n monomial basis.  A marginal is
+acting on coefficient vectors over the 2^n monomial basis; the 'F_shared'
+transfer spectrum is that of alpha o E_1 on P_+ C_n^even.  A marginal is
 (c / n^l) sum_K |psi(X_K)><psi(X_K)| over its frame X = {P gamma_K}, the
 (2^n, 2^n) coefficient array that rdm_frame builds in closed form; it is
 the one frame format.  The overlap kernel is diagonal in the monomial
@@ -198,7 +198,13 @@ def _psi(n: int, l: int, coefs: np.ndarray) -> np.ndarray:
 
 
 def mps_vector(fam: MpsFamily, l: int, B: CliffordElement) -> np.ndarray:
-    """psi(B): coefficient at (i_1..i_l) is Tr(B gamma_{i_l}...gamma_{i_1})."""
+    """psi(B): coefficient at (i_1..i_l) is Tr(B gamma_{i_l}...gamma_{i_1}).
+
+    An oracle, with B's bond domain checked: the per-element ground span in
+    test_hamiltonians::test_ground_space_matches_the_per_element_construction
+    and test_spt::test_intertwining_with_site_rotations and
+    test_axis_flip_matches_site_reflection are built from it.
+    """
     if not fam.contains(B):
         raise ValueError(f"element outside the {fam.bond_domain} bond domain")
     return _psi(fam.n, l, coefvec(B))
@@ -256,23 +262,6 @@ def alpha_signs(n: int) -> np.ndarray:
     return _sign_left(0, K) * _sign_right(0, K ^ np.uint32(1))
 
 
-def sigma_reflect(n: int, A: np.ndarray) -> np.ndarray:
-    """sigma(A) = R A R with R = diag(-1, 1, ..., 1)."""
-    R = np.eye(n)
-    R[0, 0] = -1.0
-    return R @ np.asarray(A) @ R
-
-
-def f1_matrix(n: int, A: np.ndarray) -> np.ndarray:
-    """F1_A = alpha o E_{sigma(A)} as a matrix on coefficient vectors."""
-    return alpha_signs(n)[:, None] * e_matrix(n, sigma_reflect(n, A))
-
-
-def f2_matrix(n: int, A: np.ndarray) -> np.ndarray:
-    """F2_A = alpha o E_A."""
-    return alpha_signs(n)[:, None] * e_matrix(n, A)
-
-
 BOUNDARIES = ("omega", "plus", "minus")
 
 
@@ -310,25 +299,6 @@ def fcs_expectation(n: int, ops, boundary: str = "omega") -> complex:
         v = built[key] @ v
     scale = 1.0 if boundary == "omega" else 2.0
     return complex(scale * v[0])
-
-
-def fcs_expectation_f(n: int, ops, boundary: str = "plus") -> complex:
-    """Same states through the factorized maps: sites alternate F1, F2.
-
-    '+' starts the chain with F1 at site 1, '-' with F2; the boundary element
-    is P_+ for both.  Even lengths reproduce the E-route values exactly.
-    """
-    if boundary not in ("plus", "minus"):
-        raise ValueError("factorized route defines the two pure states only")
-    ops = list(ops)
-    P_plus, _ = projectors_pm(n)
-    v = coefvec(P_plus)
-    for site in range(len(ops), 0, -1):
-        first = f1_matrix if boundary == "plus" else f2_matrix
-        second = f2_matrix if boundary == "plus" else f1_matrix
-        build = first if site % 2 == 1 else second
-        v = build(n, ops[site - 1]) @ v
-    return complex(2.0 * v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +571,11 @@ def rdm_frame(n: int, l: int, boundary: str) -> tuple[np.ndarray, float]:
 
 
 def reduced_density_matrix(n: int, l: int, boundary: str = "plus") -> np.ndarray:
-    """Dense l-site marginal of the chosen state, an n^l x n^l array."""
+    """Dense l-site marginal of the chosen state, an n^l x n^l array.
+
+    An oracle: test_mps checks rdm_eigen_by_grade (test_rdm_eigen_by_grade_matches_dense)
+    and the frame routines (test_frame_distance_and_product_match_dense) against it.
+    """
     if n**l > DENSE_RDM_CAP:
         raise ValueError(f"dense marginal dimension n^l = {n**l} exceeds cap {DENSE_RDM_CAP}")
     cols, c = rdm_frame(n, l, boundary)
@@ -611,7 +585,11 @@ def reduced_density_matrix(n: int, l: int, boundary: str = "plus") -> np.ndarray
 
 
 def rdm_entry_oracle(n: int, l: int, boundary: str, row, col) -> complex:
-    """<row| rho |col> via one expectation value; slow, for cross-checks."""
+    """<row| rho |col> via one expectation value; slow, for cross-checks.
+
+    An oracle: test_mps::test_rdm_matches_entrywise_oracle and
+    test_rdm_spot_entries_n6 check reduced_density_matrix entry by entry.
+    """
     ops = []
     for i, j in zip(col, row):
         E = np.zeros((n, n))
@@ -669,7 +647,11 @@ def basis_states(fam: MpsFamily, l: int) -> np.ndarray:
 
 
 def injectivity_rank(fam: MpsFamily, l: int) -> tuple[int, bool]:
-    """Rank of B -> psi(B) on the family's bond domain."""
+    """Rank of B -> psi(B) on the family's bond domain, by a dense SVD of the states.
+
+    Read only by test_mps::test_injectivity_ranks so far; it is kept as the
+    oracle for a closed-form injectivity-length row.
+    """
     Psi = basis_states(fam, l)
     svals = np.linalg.svd(Psi, compute_uv=False)
     rank = int((svals > 1e-10 * max(1.0, svals[0])).sum())

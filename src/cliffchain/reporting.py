@@ -43,7 +43,6 @@ from .clifford import (
 from .hamiltonians import (
     DENSE_EIG_CAP,
     aklt_su2,
-    build_interaction,
     chain_kernel,
     frustration_free_check,
     majumdar_ghosh,
@@ -115,8 +114,10 @@ class CampaignConfig:
         for l in self.l_list:
             if l < 1:
                 raise ValueError("lengths must be positive")
-        if self.tol_kernel <= 0 or self.tol_match <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol_kernel, self.tol_match)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.cap_sparse < 2:
             raise ValueError("cap_sparse must be at least 2")
 
@@ -434,14 +435,14 @@ def _margins(kernels) -> dict:
 
 
 def _check_dimer_kernel_dims(ctx, n, l):
-    h = build_interaction(majumdar_ghosh())
+    h = majumdar_ghosh()
     kernels = [chain_kernel(h, length, 2, ctx.config.tol_kernel) for length in (4, 5, 6, 7)]
     numbers = {f"dim_l{length}": K.dim for length, K in zip((4, 5, 6, 7), kernels)}
     return [K.dim for K in kernels] == [5, 4, 5, 4], {**numbers, **_margins(kernels)}, ""
 
 
 def _check_spin1_kernel_dim(ctx, n, l):
-    K = chain_kernel(build_interaction(aklt_su2()), 4, 3, ctx.config.tol_kernel)
+    K = chain_kernel(aklt_su2(), 4, 3, ctx.config.tol_kernel)
     return K.dim == 4, {"kernel_dim": K.dim, **_margins([K])}, ""
 
 
@@ -451,7 +452,7 @@ def _check_parent_kernel(ctx, n, l):
 
 
 def _check_frustration_free(ctx, n, l):
-    return _report_row(frustration_free_check(so_n_aklt(n), l, tol=ctx.config.tol_kernel))
+    return _report_row(frustration_free_check(so_n_aklt(n), l, n, ctx.config.tol_kernel))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """so(n) and su(2) representation utilities.
 
-Matrix side: antisymmetric generators L_ij = |i><j| - |j><i|, spin matrices,
-Casimir operators, isotypic decompositions by Casimir clustering, and the
-dimension bookkeeping for V tensor V and for the wedge-power branching rule.
+Antisymmetric generators L_ij = |i><j| - |j><i|, spin matrices, Casimir
+operators, isotypic decompositions by Casimir clustering, and the dimension
+bookkeeping for V tensor V and for the wedge-power branching rule.
 
-Clifford side: the embedding L_ij -> (1/2) gamma_i gamma_j acting by
-commutators, raising operators built from f_a = gamma_{2a-1} + i gamma_{2a},
-and a highest-weight annihilation test.  Grade k of C_n carries wedge^k V
-under that commutator, so the wedge powers come from it too: wedge_generator
-and adjoint_action both read [(1/2) gamma_i gamma_j, gamma_S] off the
-monomial sign rule (clifford._merge_sign), with no Clifford product.
+The wedge powers come from the Clifford algebra: under the embedding
+L_ij -> (1/2) gamma_i gamma_j acting by commutators, grade k of C_n
+carries wedge^k V, and wedge_generator reads [(1/2) gamma_i gamma_j,
+gamma_S] off the monomial sign rule (clifford._merge_sign), with no
+Clifford product.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .checks import cluster_degeneracies
-from .clifford import CliffordElement, _merge_sign
+from .clifford import _merge_sign
 
 CLUSTER_TOL = 1e-8
 
@@ -29,14 +28,6 @@ CLUSTER_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # matrix generators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SoNGenerator:
-    n: int
-    i: int
-    j: int
-    matrix: np.ndarray
 
 
 def so_generator(n: int, i: int, j: int) -> np.ndarray:
@@ -47,14 +38,6 @@ def so_generator(n: int, i: int, j: int) -> np.ndarray:
     L[i - 1, j - 1] = 1.0
     L[j - 1, i - 1] = -1.0
     return L
-
-
-def so_generators(n: int) -> list[SoNGenerator]:
-    return [
-        SoNGenerator(n, i, j, so_generator(n, i, j))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +115,11 @@ def pair_spin_values(s) -> list[int]:
 
 
 def spin_projector(s, mu: int) -> np.ndarray:
-    """Projector onto total spin mu inside V_s tensor V_s (spectral polynomial)."""
+    """Projector onto total spin mu inside V_s tensor V_s (spectral polynomial).
+
+    An oracle: acceptance 02 and test_hamiltonians::test_aklt_su2_is_the_spin2_projector
+    compare the spin-1 AKLT term (hamiltonians.aklt_su2) against spin_projector(1, 2).
+    """
     values = pair_spin_values(s)
     if mu not in values:
         raise ValueError(f"total spin {mu} not in {values} for s={s}")
@@ -221,76 +208,3 @@ def wedge_generator(n: int, k: int, i: int, j: int) -> np.ndarray:
         if (S & ij).bit_count() == 1:
             out[pos[S ^ ij], col] = _merge_sign(ij, S)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Clifford side: pi(L_ij) = gamma_i gamma_j / 2
-# ---------------------------------------------------------------------------
-
-
-def clifford_rep_so(n: int, A: np.ndarray) -> CliffordElement:
-    """Image of an antisymmetric matrix under L_ij -> (1/2) gamma_i gamma_j."""
-    A = np.asarray(A)
-    if A.shape != (n, n) or np.abs(A + A.T).max() > 1e-12:
-        raise ValueError("expected an antisymmetric n x n matrix")
-    out = CliffordElement.zero(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if A[i - 1, j - 1] != 0.0:
-                out = out + (0.5 * A[i - 1, j - 1]) * CliffordElement.gamma(n, i, j)
-    return out
-
-
-def adjoint_action(n: int, ij: tuple[int, int], B: CliffordElement) -> CliffordElement:
-    """[ (1/2) gamma_i gamma_j, B ] -- so(n) acting on C_n; preserves grades.
-
-    The commutator rule of wedge_generator, term by term: gamma_K goes to
-    _merge_sign(ij, K) gamma_{K xor ij} when exactly one of i, j is in K.
-    """
-    i, j = ij
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got ({i},{j})")
-    bits = (1 << (i - 1)) | (1 << (j - 1))
-    return CliffordElement(n, {K ^ bits: _merge_sign(bits, K) * c
-                               for K, c in B.coef.items() if (K & bits).bit_count() == 1})
-
-
-def f_element(n: int, a: int) -> CliffordElement:
-    """f_a = gamma_{2a-1} + i gamma_{2a}."""
-    if not 1 <= 2 * a <= n:
-        raise ValueError(f"pair index {a} out of range for n={n}")
-    return CliffordElement.gamma(n, 2 * a - 1) + 1j * CliffordElement.gamma(n, 2 * a)
-
-
-def f_tilde_element(n: int, a: int) -> CliffordElement:
-    """f~_a = gamma_{2a-1} - i gamma_{2a}."""
-    if not 1 <= 2 * a <= n:
-        raise ValueError(f"pair index {a} out of range for n={n}")
-    return CliffordElement.gamma(n, 2 * a - 1) - 1j * CliffordElement.gamma(n, 2 * a)
-
-
-def simple_root_raising(n: int) -> list[CliffordElement]:
-    """Raising operators for a set of positive simple roots, as elements of C_n.
-
-    L_a - L_{a+1} -> f_a f~_{a+1} / 4 for a = 1..m-1, plus
-    L_{m-1} + L_m -> f_{m-1} f_m / 4 (even n) or L_m -> f_m gamma_n / 2 (odd n).
-    """
-    m = n // 2
-    roots = []
-    for a in range(1, m):
-        roots.append(0.25 * (f_element(n, a) * f_tilde_element(n, a + 1)))
-    if n % 2 == 0:
-        if m >= 2:
-            roots.append(0.25 * (f_element(n, m - 1) * f_element(n, m)))
-    else:
-        roots.append(0.5 * (f_element(n, m) * CliffordElement.gamma(n, n)))
-    return roots
-
-
-def highest_weight_check(n: int, B: CliffordElement) -> bool:
-    """True iff every simple positive root representative annihilates B."""
-    tol = 1e-10 * max(1.0, B.norm_max())
-    for x in simple_root_raising(n):
-        if not (x * B - B * x).is_zero(tol):
-            return False
-    return True

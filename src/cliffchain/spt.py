@@ -101,16 +101,6 @@ def spin_rep_element(n: int, theta: float, i: int, j: int) -> CliffordElement:
     return one + plane
 
 
-def rotate_generator(n: int, w: np.ndarray, i: int) -> CliffordElement:
-    """sum_j w_ji gamma_j, the image of gamma_i under the rotation w."""
-    out = CliffordElement.zero(n)
-    for j in range(1, n + 1):
-        c = w[j - 1, i - 1]
-        if abs(c) > 1e-15:
-            out = out + CliffordElement.gamma(n, j).scale(c)
-    return out
-
-
 def _require_special_orthogonal(w: np.ndarray) -> None:
     n = w.shape[0]
     if np.max(np.abs(w.T @ w - np.eye(n))) > 1e-10:
@@ -472,16 +462,6 @@ def mps_spt_index(family: TensorFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CptReport:
-    n: int
-    l: int
-    conjugation: str
-    reflection: str
-    time_reversal: str
-    residuals: dict
-
-
 def _require_even_n(n: int) -> None:
     if n % 2 == 1:
         raise ValueError("the paired-state checks need even n")
@@ -571,16 +551,6 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
         "spin_flip": flip,
         "lift_residual": r_lift,
     }
-
-
-def cpt_report(n: int, l: int) -> CptReport:
-    """All three checks at once; reflection restricts this to even lengths."""
-    conj_verdict, res = conjugation_check(n, l)
-    refl_verdict, r = reflection_check(n, l)
-    res.update(r)
-    tr_verdict, r = time_reversal_check(n, l)
-    res.update(r)
-    return CptReport(n, l, conj_verdict, refl_verdict, tr_verdict, res)
 
 
 def _axis_flip_signs(n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ import pytest
 from cliffchain.clifford import realize
 from cliffchain.hamiltonians import (
     aklt_su2,
-    build_interaction,
     chain_entries,
     kernel_basis,
     majumdar_ghosh,
@@ -92,7 +91,7 @@ def test_acceptance_01_transfer_spectra_match_class_formula():
 
 def test_acceptance_02_spin1_chain_is_projector_with_known_spectrum():
     t0 = time.perf_counter()
-    H = build_interaction(aklt_su2())
+    H = aklt_su2()
     P = spin_projector(1, 2)
     gap = float(np.linalg.norm(H - P, 2))
     spectrum = transfer_spectrum(3, "E")
@@ -148,7 +147,7 @@ def test_acceptance_05_dimer_chain_kernel_dimensions():
     t0 = time.perf_counter()
     clauses = []
     for l, want in ((4, 5), (5, 4), (6, 5), (7, 4)):
-        H = chain_entries(build_interaction(majumdar_ghosh()), l, 2)
+        H = chain_entries(majumdar_ghosh(), l, 2)
         dim = kernel_basis(H).dim
         clauses.append((f"l{l}_dim", dim == want, dim))
     _check("dimer-kernels", clauses, t0, 10.0)

@@ -54,6 +54,17 @@ def test_bad_n_value_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-kernel", "nan"), ("--tol-match", "inf"), ("--seed", "-1"),
+])
+def test_bad_tolerance_or_seed_exits_two(flag, value):
+    # a nan cut-off passes every frustration-free row and a negative seed
+    # turns the seeded rows into errors, so both are usage errors
+    with pytest.raises(SystemExit) as err:
+        main(["parent", "--n", "3", flag, value])
+    assert err.value.code == 2
+
+
 def test_csv_tables_writes_files(tmp_path, capsys):
     code = main(
         ["transfer", "--n", "3", "--format", "csv-tables", "--out", str(tmp_path / "t")]
@@ -84,7 +95,7 @@ def test_import_loads_no_graph_module():
     code = """
 import sys
 import cliffchain, cliffchain.cli
-from cliffchain.hamiltonians import low_spectrum, so_n_aklt
+from cliffchain.hamiltonians import frustration_free_check, so_n_aklt
 from cliffchain.mps import rdm_eigen_by_grade
 from cliffchain.reporting import CampaignConfig, run_campaign
 from cliffchain.spt import conjugation_check, on_site_breaking_check
@@ -92,7 +103,7 @@ on_site_breaking_check(4, 4)
 rdm_eigen_by_grade(6, 4, "plus")
 conjugation_check(4, 4)
 run_campaign(CampaignConfig("parent", n_list=(3,)))
-low_spectrum(so_n_aklt(3), 4)
+frustration_free_check(so_n_aklt(3), 4, 3)
 print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 print(callable(cliffchain.hamiltonians.spla.eigsh))
 """

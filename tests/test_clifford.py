@@ -4,7 +4,6 @@ import pytest
 from cliffchain import clifford
 from cliffchain.clifford import (
     CliffordElement,
-    GammaIndex,
     MatrixRealization,
     _merge_sign,
     _monomial_stack,
@@ -16,15 +15,12 @@ from cliffchain.clifford import (
     alpha,
     dist,
     gamma0,
-    gamma_mul,
-    hodge_star,
     matrix_rep,
     projectors_pm,
     realize,
     realized_dim,
     reversal_sign,
     trace,
-    trace_pair,
     transpose_antiauto,
 )
 
@@ -93,20 +89,19 @@ def test_generator_signs_are_the_merge_sign():
 
 
 def test_gamma_mul_basic_example():
-    I = GammaIndex.from_indices(4, (1, 2))
-    J = GammaIndex.from_indices(4, (1, 3))
-    sign, K = gamma_mul(I, J)
-    assert sign == -1
-    assert K.indices() == (2, 3)
+    # gamma_12 gamma_13 = -gamma_23
+    assert _merge_sign(0b011, 0b101) == -1
+    assert dist(g(4, 1, 2) * g(4, 1, 3), -g(4, 2, 3)) == 0.0
+    with pytest.raises(ValueError):
+        g(4, 1, 1)
+    with pytest.raises(ValueError):
+        g(4, 5)
 
 
 def test_gamma_mul_squares():
     for n in range(2, 9):
         for bits in range(1 << n):
-            I = GammaIndex(n, bits)
-            sign, K = gamma_mul(I, I)
-            assert K.bits == 0
-            assert sign == reversal_sign(I.grade)
+            assert _merge_sign(bits, bits) == reversal_sign(bits.bit_count())
 
 
 def test_anticommutation_exact():
@@ -127,12 +122,10 @@ def test_associativity_random_triples():
 
 
 def test_trace_pair_values():
-    I = GammaIndex.from_indices(4, (1, 2))
-    assert trace_pair(I, I) == -4.0
-    J = GammaIndex.from_indices(4, (1, 3))
-    assert trace_pair(I, J) == 0.0
-    E = GammaIndex(4, 0)
-    assert trace_pair(E, E) == 4.0
+    # Tr(gamma_I gamma_J) is zero unless I = J, else +-D by grade mod 4
+    assert trace(g(4, 1, 2) * g(4, 1, 2)) == -4.0
+    assert trace(g(4, 1, 2) * g(4, 1, 3)) == 0.0
+    assert trace(CliffordElement.one(4) * CliffordElement.one(4)) == 4.0
     assert realized_dim(5) == 4
     assert realized_dim(6) == 8
 
@@ -181,10 +174,11 @@ def test_gamma0_square_and_projectors():
 
 
 def test_hodge_star_grade_exchange():
+    # the Hodge star is left multiplication by gamma0
     for n in (4, 5, 6, 8):
         for bits in range(1 << n):
             B = CliffordElement(n, {bits: 1.0})
-            s = hodge_star(B)
+            s = gamma0(n) * B
             (k,) = s.grades()
             assert k == n - bits.bit_count()
         P, M = projectors_pm(n)
@@ -192,8 +186,8 @@ def test_hodge_star_grade_exchange():
             if bits.bit_count() > n / 2:
                 continue
             B = CliffordElement(n, {bits: 1.0})
-            plus = B + hodge_star(B)
-            minus = B - hodge_star(B)
+            plus = B + gamma0(n) * B
+            minus = B - gamma0(n) * B
             assert dist(P * plus, plus) < 1e-12
             assert dist(M * plus, CliffordElement.zero(n)) < 1e-12
             assert dist(P * minus, CliffordElement.zero(n)) < 1e-12
@@ -261,12 +255,12 @@ def test_trace_pair_against_matrix_trace():
         for _ in range(40):
             bi = int(rng.integers(0, 1 << n))
             bj = int(rng.integers(0, 1 << n))
-            I, J = GammaIndex(n, bi), GammaIndex(n, bj)
             # odd n: gamma0 -> 1 aliases dual monomials, skip the aliased pairs
             if n % 2 == 1 and (bi ^ bj) == (1 << n) - 1:
                 continue
             mat = np.trace(rep.monomial(bi) @ rep.monomial(bj))
-            assert abs(trace_pair(I, J) - mat) < 1e-10 * rep.dim
+            pair = CliffordElement(n, {bi: 1.0}) * CliffordElement(n, {bj: 1.0})
+            assert abs(trace(pair) - mat) < 1e-10 * rep.dim
 
 
 def test_realize_homomorphism_random_pairs():

@@ -10,17 +10,11 @@ from cliffchain.checks import cluster_degeneracies
 from cliffchain.hamiltonians import (
     DENSE_EIG_CAP,
     Entries,
-    InteractionSpec,
-    KINDS,
     aklt_su2,
-    bilinear_biquadratic,
-    build_interaction,
     chain_entries,
     chain_kernel,
     frustration_free_check,
-    heisenberg,
     kernel_basis,
-    low_spectrum,
     majumdar_ghosh,
     majumdar_ghosh_raw,
     mps_ground_space,
@@ -28,25 +22,25 @@ from cliffchain.hamiltonians import (
     projector_distance,
     q_matrix,
     so_n_aklt,
-    south_pole,
     swap_matrix,
-    swap_q,
 )
 from cliffchain.mps import MpsFamily, element_from_coefvec, mps_vector
-from cliffchain.so_n import spin_matrices, spin_projector
+from cliffchain.so_n import casimir_su2_pair, spin_matrices, spin_projector
+
+# SWAP + 0.3 Q on C^3 x C^3: its ground pair is antisymmetric, so its chains
+# are not frustration free past l = 3
+TWISTED = swap_matrix(3) + 0.3 * q_matrix(3)
 
 
-def all_specs():
-    return [
-        swap_q(3, 0.7, -0.2),
-        so_n_aklt(4),
-        south_pole(3),
-        aklt_su2(),
-        majumdar_ghosh(),
-        heisenberg(0.5, J=1.0),
-        heisenberg(1.5, J=-0.3),
-        bilinear_biquadratic(0.7),
-    ]
+def _heisenberg(s, J):
+    """J S1.S2 on V_s x V_s."""
+    return J * casimir_su2_pair(s)
+
+
+def _bilinear_biquadratic(theta):
+    """cos(theta) S1.S2 + sin(theta) (S1.S2)^2 on V_1 x V_1."""
+    SS = casimir_su2_pair(1)
+    return np.cos(theta) * SS + np.sin(theta) * (SS @ SS)
 
 
 def rand_so(rng, n):
@@ -69,17 +63,12 @@ def rand_su2_rotation(rng, s):
 
 
 def test_spec_validation():
+    # a term is a plain array on (C^d)^support
     with pytest.raises(ValueError):
-        InteractionSpec("NO_SUCH_KIND", n=3)
-    with pytest.raises(ValueError):
-        swap_q(1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        heisenberg(0.3)
-    assert so_n_aklt(5).local_dim == 5
-    assert aklt_su2().local_dim == 3
-    assert majumdar_ghosh().support == 3
-    assert heisenberg(1.5).local_dim == 4
-    assert set(s.kind for s in all_specs()) == set(KINDS)
+        so_n_aklt(1)
+    assert so_n_aklt(5).shape == (25, 25)
+    assert aklt_su2().shape == (9, 9)
+    assert majumdar_ghosh().shape == (8, 8)  # three spin-1/2 sites
 
 
 def test_swap_and_q_identities():
@@ -103,25 +92,21 @@ def test_swap_action_on_product_vectors(n, seed):
 
 
 def test_terms_hermitian():
-    for spec in all_specs():
-        h = build_interaction(spec)
+    terms = (0.7 * swap_matrix(3) - 0.2 * q_matrix(3), so_n_aklt(4), -q_matrix(3), aklt_su2(),
+             majumdar_ghosh(), _heisenberg(0.5, 1.0), _heisenberg(1.5, -0.3),
+             _bilinear_biquadratic(0.7))
+    for h in terms:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_projector_kinds_psd():
-    for spec in (so_n_aklt(3), so_n_aklt(4), so_n_aklt(5), so_n_aklt(6), aklt_su2()):
-        vals = np.linalg.eigvalsh(build_interaction(spec))
+    for h in (so_n_aklt(3), so_n_aklt(4), so_n_aklt(5), so_n_aklt(6), aklt_su2()):
+        vals = np.linalg.eigvalsh(h)
         assert vals[0] > -1e-10
 
 
-def test_south_pole_is_a_swap_q_point():
-    for n in (3, 4):
-        assert np.allclose(build_interaction(south_pole(n)),
-                           build_interaction(swap_q(n, 0.0, -1.0)), atol=0)
-
-
 def test_so_n_aklt_term_spectrum_n4():
-    vals = np.linalg.eigvalsh(build_interaction(so_n_aklt(4)))
+    vals = np.linalg.eigvalsh(so_n_aklt(4))
     assert cluster_degeneracies(vals, tol=1e-10) == [(pytest.approx(0.0, abs=1e-12), 7),
                                                      (pytest.approx(2.0, abs=1e-12), 9)]
 
@@ -142,7 +127,7 @@ def test_cluster_degeneracies_splits_sorted_values_at_gaps():
 
 
 def test_aklt_su2_is_the_spin2_projector():
-    h = build_interaction(aklt_su2())
+    h = aklt_su2()
     assert np.max(np.abs(h - spin_projector(1, 2))) < 1e-12
 
 
@@ -150,8 +135,8 @@ def test_bilinear_biquadratic_hits_the_aklt_ray():
     # cos t (S.S) + sin t (S.S)^2 at tan t = 1/3 is an affine shift of the
     # spin-2 projector
     theta = np.arctan(1.0 / 3.0)
-    bb = build_interaction(bilinear_biquadratic(theta))
-    aklt = build_interaction(aklt_su2())
+    bb = _bilinear_biquadratic(theta)
+    aklt = aklt_su2()
     lhs = np.eye(9) / 3.0 + (np.sqrt(10.0) / 6.0) * bb
     assert np.max(np.abs(lhs - aklt)) < 1e-12
 
@@ -159,13 +144,13 @@ def test_bilinear_biquadratic_hits_the_aklt_ray():
 def test_heisenberg_half_is_swap_affine():
     S = swap_matrix(2)
     for J in (1.0, -2.5):
-        h = build_interaction(heisenberg(0.5, J=J))
+        h = _heisenberg(0.5, J)
         assert np.max(np.abs(h - J * (S / 2.0 - np.eye(4) / 4.0))) < 1e-13
 
 
 def test_majumdar_ghosh_raw_offset():
     # pairwise sigma.sigma = 6 P(3/2) - 3
-    h = build_interaction(majumdar_ghosh())
+    h = majumdar_ghosh()
     raw = majumdar_ghosh_raw()
     assert np.max(np.abs(raw - (6.0 * h - 3.0 * np.eye(8)))) < 1e-12
     assert np.allclose(h @ h, h, atol=1e-12)
@@ -173,13 +158,12 @@ def test_majumdar_ghosh_raw_offset():
 
 def test_rotation_commutes_with_so_terms():
     rng = np.random.default_rng(7)
-    h_aklt = build_interaction(so_n_aklt(4))
+    h_aklt = so_n_aklt(4)
     for _ in range(50):
         w = rand_so(rng, 4)
         ww = np.kron(w, w)
         assert np.max(np.abs(h_aklt @ ww - ww @ h_aklt)) < 1e-10
-    for spec in (swap_q(3, 0.7, -0.2), south_pole(3)):
-        h = build_interaction(spec)
+    for h in (0.7 * swap_matrix(3) - 0.2 * q_matrix(3), -q_matrix(3)):
         for _ in range(10):
             w = rand_so(rng, 3)
             ww = np.kron(w, w)
@@ -188,22 +172,16 @@ def test_rotation_commutes_with_so_terms():
 
 def test_rotation_commutes_with_su2_terms():
     rng = np.random.default_rng(11)
-    for spec in (aklt_su2(), bilinear_biquadratic(0.7), heisenberg(1.5, J=-0.3)):
-        h = build_interaction(spec)
-        s = (spec.local_dim - 1) / 2.0
+    for h, s in ((aklt_su2(), 1), (_bilinear_biquadratic(0.7), 1), (_heisenberg(1.5, -0.3), 1.5)):
         for _ in range(10):
             u = rand_su2_rotation(rng, s)
             uu = np.kron(u, u)
             assert np.max(np.abs(h @ uu - uu @ h)) < 1e-10
-    h = build_interaction(majumdar_ghosh())
+    h = majumdar_ghosh()
     for _ in range(10):
         u = rand_su2_rotation(rng, 0.5)
         uuu = np.kron(u, np.kron(u, u))
         assert np.max(np.abs(h @ uuu - uuu @ h)) < 1e-10
-
-
-def _chain(spec, l):
-    return chain_entries(build_interaction(spec), l, spec.local_dim)
 
 
 def _dense(H):
@@ -247,12 +225,12 @@ def _random_psd_term(d, support, rank, seed):
 
 
 @pytest.mark.parametrize("h, l, d", [
-    (build_interaction(so_n_aklt(3)), 5, 3),
-    (build_interaction(so_n_aklt(4)), 5, 4),
-    (build_interaction(majumdar_ghosh()), 7, 2),
-    (build_interaction(aklt_su2()), 4, 3),
-    (build_interaction(swap_q(3, 1.0, 0.3)), 4, 3),
-    (build_interaction(heisenberg(0.5, J=-1.5)), 5, 2),
+    (so_n_aklt(3), 5, 3),
+    (so_n_aklt(4), 5, 4),
+    (majumdar_ghosh(), 7, 2),
+    (aklt_su2(), 4, 3),
+    (TWISTED, 4, 3),
+    (_heisenberg(0.5, -1.5), 5, 2),
     # random complex PSD terms of support 1, 2 and 3
     (_random_psd_term(3, 1, rank=2, seed=5), 4, 3),
     (_random_psd_term(3, 2, rank=4, seed=5), 4, 3),
@@ -267,34 +245,34 @@ def test_chain_entries_match_the_sparse_kron_oracle(h, l, d):
 
 
 def test_chain_at_support_length_is_the_term():
-    assert np.allclose(_dense(_chain(so_n_aklt(3), 2)),
-                       build_interaction(so_n_aklt(3)), atol=0)
-    assert np.allclose(_dense(_chain(majumdar_ghosh(), 3)),
-                       build_interaction(majumdar_ghosh()), atol=0)
+    assert np.allclose(_dense(chain_entries(so_n_aklt(3), 2, 3)),
+                       so_n_aklt(3), atol=0)
+    assert np.allclose(_dense(chain_entries(majumdar_ghosh(), 3, 2)),
+                       majumdar_ghosh(), atol=0)
 
 
 def test_chain_validation():
-    h = build_interaction(so_n_aklt(3))
+    h = so_n_aklt(3)
     with pytest.raises(ValueError):
         chain_entries(h, 1, 3)
     with pytest.raises(ValueError):
-        chain_entries(build_interaction(majumdar_ghosh()), 2, 2)
+        chain_entries(majumdar_ghosh(), 2, 2)
     with pytest.raises(ValueError):
         chain_entries(h, 4, 2)  # a 9 x 9 term is not a 2-level operator
     # 6^10 dimensions; refused before the chain is assembled
     with pytest.raises(ValueError, match="exceeds"):
-        frustration_free_check(so_n_aklt(6), 10)
+        frustration_free_check(so_n_aklt(6), 10, 6)
 
 
 def test_kernel_dims_known_chains():
-    assert kernel_basis(_chain(aklt_su2(), 4)).dim == 4
+    assert kernel_basis(chain_entries(aklt_su2(), 4, 3)).dim == 4
     for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4)):
-        assert kernel_basis(_chain(majumdar_ghosh(), l)).dim == dim
-    assert kernel_basis(_chain(so_n_aklt(4), 4)).dim == 8
+        assert kernel_basis(chain_entries(majumdar_ghosh(), l, 2)).dim == dim
+    assert kernel_basis(chain_entries(so_n_aklt(4), 4, 4)).dim == 8
 
 
 def test_kernel_basis_certified():
-    K = kernel_basis(_chain(so_n_aklt(3), 5))
+    K = kernel_basis(chain_entries(so_n_aklt(3), 5, 3))
     assert K.dim == 4
     V = K.vectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(K.dim))) < 1e-10
@@ -302,7 +280,7 @@ def test_kernel_basis_certified():
 
 
 def test_kernel_basis_is_dense_and_real_for_real_chains():
-    K = kernel_basis(_chain(so_n_aklt(3), 4))
+    K = kernel_basis(chain_entries(so_n_aklt(3), 4, 3))
     assert K.dim == 4 and not np.iscomplexobj(K.vectors)
     diag = np.arange(DENSE_EIG_CAP + 1)
     with pytest.raises(ValueError):
@@ -344,18 +322,14 @@ def _random_hermitian():
     return _entries(0.5 * (B + B.conj().T))
 
 
-def _shifted_chain(spec, l):
-    return chain_entries(_psd_term(spec), l, spec.local_dim)
-
-
 @pytest.mark.parametrize("make, dim, blocks", [
-    *[(lambda n=n, l=l: _chain(so_n_aklt(n), l), 2 ** (n - 1), 2 ** (n - 1))
+    *[(lambda n=n, l=l: chain_entries(so_n_aklt(n), l, n), 2 ** (n - 1), 2 ** (n - 1))
       for n, l in ((3, 3), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (5, 4))],
-    (lambda: _chain(aklt_su2(), 4), 4, None),
-    *[(lambda l=l: _chain(majumdar_ghosh(), l), dim, None)
+    (lambda: chain_entries(aklt_su2(), 4, 3), 4, None),
+    *[(lambda l=l: chain_entries(majumdar_ghosh(), l, 2), dim, None)
       for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
     # the twisted term has an empty kernel: only dropped_min is a margin
-    (lambda: _shifted_chain(swap_q(3, 1.0, 0.3), 4), 0, None),
+    (lambda: chain_entries(_psd_term(TWISTED), 4, 3), 0, None),
     (_random_hermitian, 10, 1),
     (_planted_blocks, 1, 1),
 ])
@@ -380,27 +354,27 @@ def test_kernel_basis_splits_only_on_exact_zeros():
     assert kernel_basis(_planted_blocks()).blocks == (9,)
 
 
-def _psd_term(spec):
-    h = build_interaction(spec)
+def _psd_term(h):
     return h - np.min(np.linalg.eigvalsh(h)) * np.eye(h.shape[0])
 
 
+# (spec, l, dim) with spec the pair (term, local dimension)
 CHAIN_KERNEL_GRID = [
-    *[(so_n_aklt(3), l, 4) for l in (2, 3, 4, 5, 6)],
+    *[((so_n_aklt(3), 3), l, 4) for l in (2, 3, 4, 5, 6)],
     # at l = 2 the kernel is the antisymmetric pairs plus the singlet
-    *[(so_n_aklt(4), l, dim) for l, dim in ((2, 7), (3, 8), (4, 8), (5, 8))],
-    *[(so_n_aklt(5), l, dim) for l, dim in ((2, 11), (3, 15), (4, 16))],
-    *[(majumdar_ghosh(), l, dim) for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
-    *[(aklt_su2(), l, 4) for l in (3, 4, 5, 6)],
+    *[((so_n_aklt(4), 4), l, dim) for l, dim in ((2, 7), (3, 8), (4, 8), (5, 8))],
+    *[((so_n_aklt(5), 5), l, dim) for l, dim in ((2, 11), (3, 15), (4, 16))],
+    *[((majumdar_ghosh(), 2), l, dim) for l, dim in ((4, 5), (5, 4), (6, 5), (7, 4))],
+    *[((aklt_su2(), 3), l, 4) for l in (3, 4, 5, 6)],
     # the twisted term's ground pair is antisymmetric: only the l = 3 singlet
     # eps_ijk keeps every term at its minimum
-    *[(swap_q(3, 1.0, 0.3), l, dim) for l, dim in ((3, 1), (4, 0), (5, 0))],
+    *[((TWISTED, 3), l, dim) for l, dim in ((3, 1), (4, 0), (5, 0))],
 ]
 
 
 @pytest.mark.parametrize("spec, l, dim", CHAIN_KERNEL_GRID)
 def test_chain_kernel_matches_the_dense_oracle(spec, l, dim):
-    h, d = _psd_term(spec), spec.local_dim
+    h, d = _psd_term(spec[0]), spec[1]
     oracle = kernel_basis(chain_entries(h, l, d))
     K = chain_kernel(h, l, d)
     assert K.dim == oracle.dim == dim
@@ -435,8 +409,8 @@ def _chain_kernel_oracle(h, l, d, tol=1e-10):
 
 
 @pytest.mark.parametrize("h, l, d, dim", [
-    *[(_psd_term(spec), l, spec.local_dim, dim) for spec, l, dim in CHAIN_KERNEL_GRID],
-    (build_interaction(so_n_aklt(6)), 6, 6, 32),
+    *[(_psd_term(h), l, d, dim) for (h, d), l, dim in CHAIN_KERNEL_GRID],
+    (so_n_aklt(6), 6, 6, 32),
     # generic complex terms: on one 3-level site (no B tensors, only the
     # explicit rank list) the kernel has 2^l states; on two 4-level sites it
     # grows 11, 24, 41, 44; on three qubits, where each step's B joins two
@@ -457,7 +431,7 @@ def test_chain_kernel_matches_the_chain_matrix_oracle(h, l, d, dim):
 def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l, max_rows):
     # step k+1 -> k+2 factors the (r_k d^2) x (r_{k+1} d) bracket of the
     # bond-space lemma, never a matrix with d^(k+2) rows
-    h = build_interaction(so_n_aklt(n))
+    h = so_n_aklt(n)
     ranks = [1, n] + [chain_kernel(h, k, n).dim for k in range(2, l)]
     shapes, svd = [], np.linalg.svd
 
@@ -474,13 +448,13 @@ def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l, max_ro
 def test_chain_kernel_reaches_past_the_dense_oracle():
     # dimensions 5^7 = 78,125 and 6^6 = 46,656, far above DENSE_EIG_CAP
     for n, l in ((5, 7), (6, 6)):
-        K = chain_kernel(build_interaction(so_n_aklt(n)), l, n)
+        K = chain_kernel(so_n_aklt(n), l, n)
         assert K.dim == 2 ** (n - 1)
         assert projector_distance(K.vectors, mps_ground_space(n, l)) < 1e-8
 
 
 def test_chain_kernel_validation():
-    h = build_interaction(so_n_aklt(3))
+    h = so_n_aklt(3)
     with pytest.raises(ValueError):
         chain_kernel(h, 1, 3)
     with pytest.raises(ValueError):
@@ -499,7 +473,7 @@ def test_parent_check_grid():
 def test_mps_states_are_chain_ground_states():
     rng = np.random.default_rng(23)
     for n, l in ((4, 5), (3, 4)):
-        H = _dense(_chain(so_n_aklt(n), l))
+        H = _dense(chain_entries(so_n_aklt(n), l, n))
         fam = MpsFamily(n, "full")
         coef = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         B = element_from_coefvec(n, coef)
@@ -534,7 +508,7 @@ def test_ground_space_matches_bond_dimension_parity():
 
 
 def test_frustration_free_aklt():
-    rep = frustration_free_check(so_n_aklt(3), 4)
+    rep = frustration_free_check(so_n_aklt(3), 4, 3)
     assert rep.passed, rep.summary()
     assert rep.numbers["frustration_free"] == 1.0
     assert rep.numbers["kernel_dim"] == 4
@@ -547,7 +521,7 @@ def test_frustration_free_aklt():
 
 
 def test_frustration_free_fails_for_twisted_swap():
-    rep = frustration_free_check(swap_q(3, 1.0, 0.3), 4)
+    rep = frustration_free_check(TWISTED, 4, 3)
     assert rep.passed, rep.summary()
     assert rep.numbers["frustration_free"] == 0.0
     assert rep.numbers["kernel_dim"] == 0
@@ -558,7 +532,7 @@ def test_frustration_free_fails_for_twisted_swap():
 def test_south_pole_shifted_ground_degeneracy():
     # dimer pattern on an open chain: unique ground state at even length,
     # a dangling-site triplet at odd length
-    h = build_interaction(south_pole(3))
+    h = -q_matrix(3)
     shift = float(np.min(np.linalg.eigvalsh(h)))
     hp = h - shift * np.eye(9)
     mults = {}
@@ -570,23 +544,8 @@ def test_south_pole_shifted_ground_degeneracy():
     assert mults == {3: 3, 4: 1, 5: 3}
 
 
-def test_low_spectrum_aklt_n3_l6():
-    vals = low_spectrum(so_n_aklt(3), 6, k=6)
-    assert np.all(np.diff(vals) > -1e-12)
-    clusters = cluster_degeneracies(vals, tol=1e-9)
-    assert clusters[0][1] == 4
-    assert abs(clusters[0][0]) < 1e-10
-    assert vals[4] > 1e-6
-
-
-def test_low_spectrum_refuses_chains_above_the_dense_cap():
-    # 3^7 = 2187 dimensions; refused before the chain is assembled
-    with pytest.raises(ValueError, match="exceeds"):
-        low_spectrum(so_n_aklt(3), 7)
-
-
 def test_entries_norm_bound_is_the_largest_dense_row_sum():
-    for H in (_chain(heisenberg(0.5, J=-1.5), 5),
+    for H in (chain_entries(_heisenberg(0.5, -1.5), 5, 2),
               chain_entries(_random_psd_term(3, 2, rank=4, seed=5), 4, 3)):
         assert H.norm_bound() == pytest.approx(
             float(np.abs(_dense(H)).sum(axis=1).max()), rel=1e-15)
@@ -601,7 +560,7 @@ def _projector_distance_oracle(Qa, Qb):
 
 def test_projector_distance_matches_the_svd_oracle():
     # the (5, 6) parent row, where the spans agree to rounding
-    K = chain_kernel(build_interaction(so_n_aklt(5)), 6, 5)
+    K = chain_kernel(so_n_aklt(5), 6, 5)
     G = mps_ground_space(5, 6)
     assert projector_distance(K.vectors, G) == pytest.approx(
         _projector_distance_oracle(K.vectors, G), rel=1e-12)
@@ -617,10 +576,12 @@ def test_projector_distance_matches_the_svd_oracle():
 
 
 def test_ground_energy_below_rayleigh_quotients():
+    # ground_energy is the lowest eigenvalue of the chain of shifted terms
     rng = np.random.default_rng(3)
-    for spec, l in ((so_n_aklt(3), 4), (heisenberg(0.5, J=1.0), 6), (south_pole(3), 3)):
-        H = _dense(_chain(spec, l))
-        e0 = low_spectrum(spec, l, k=1)[0]
+    for h, d, l in ((so_n_aklt(3), 3, 4), (_heisenberg(0.5, 1.0), 2, 6), (-q_matrix(3), 3, 3)):
+        H = _dense(chain_entries(_psd_term(h), l, d))
+        e0 = frustration_free_check(h, l, d).numbers["ground_energy"]
+        assert abs(e0 - np.linalg.eigvalsh(H)[0]) < 1e-10
         for _ in range(5):
             v = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
             v /= np.linalg.norm(v)
@@ -629,7 +590,7 @@ def test_ground_energy_below_rayleigh_quotients():
 
 def test_three_site_kernel_is_pair_intersection():
     for n in (3, 4):
-        H3 = _chain(so_n_aklt(n), 3)
+        H3 = chain_entries(so_n_aklt(n), 3, n)
         K = kernel_basis(H3)
         G2 = mps_ground_space(n, 2)
         Qa = np.kron(G2, np.eye(n))

@@ -10,7 +10,6 @@ from cliffchain.clifford import (
     CliffordElement,
     alpha,
     gamma0,
-    hodge_star,
     matrix_rep,
     projectors_pm,
     realize,
@@ -36,7 +35,6 @@ from cliffchain.mps import (
     e_matrix,
     element_from_coefvec,
     fcs_expectation,
-    fcs_expectation_f,
     frame_operator_distance,
     frame_product_trace,
     injectivity_rank,
@@ -47,7 +45,6 @@ from cliffchain.mps import (
     rdm_entry_oracle,
     rdm_frame,
     reduced_density_matrix,
-    sigma_reflect,
     transfer_eigenvalue,
     transfer_spectrum,
     two_point_correlation,
@@ -90,7 +87,7 @@ def _stack(elems):
 
 def test_psi_plus_two_site_example():
     n = 4
-    B = g(n, 1, 2) + hodge_star(g(n, 1, 2))
+    B = g(n, 1, 2) + gamma0(n) * g(n, 1, 2)
     v = psi_plus(n, 2, B) / realized_dim(n)
     want = (
         basis_state(n, 2, 1, 2)
@@ -226,26 +223,16 @@ def test_fcs_normalization():
 
 
 def test_sigma_twist_swaps_the_two_states():
+    # sigma(A) = R A R with R = diag(-1, 1, ..., 1), the reflection of the first axis
     rng = np.random.default_rng(5)
     n = 4
+    R = np.diag([-1.0] + [1.0] * (n - 1))
     for l in (2, 3):
         ops = [rng.normal(size=(n, n)) for _ in range(l)]
-        twisted = [sigma_reflect(n, A) for A in ops]
+        twisted = [R @ A @ R for A in ops]
         lhs = fcs_expectation(n, twisted, "plus")
         rhs = fcs_expectation(n, ops, "minus")
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_factorized_route_matches_even_lengths():
-    rng = np.random.default_rng(7)
-    n = 4
-    for l in (2, 4):
-        ops = [rng.normal(size=(n, n)) for _ in range(l)]
-        for boundary in ("plus", "minus"):
-            assert (
-                abs(fcs_expectation_f(n, ops, boundary) - fcs_expectation(n, ops, boundary))
-                < 1e-12
-            )
 
 
 def test_odd_n_boundaries_agree():

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from cliffchain.checks import cluster_degeneracies
-from cliffchain.clifford import CliffordElement, dist, gamma0, hodge_star
+from cliffchain.clifford import CliffordElement, dist, gamma0
 from cliffchain.so_n import (
-    adjoint_action,
     casimir_su2_pair,
     clebsch_gordan_dims,
-    clifford_rep_so,
-    f_element,
-    f_tilde_element,
-    highest_weight_check,
     isotypic_decomposition,
     pieri_dimension_check,
     so_generator,
-    so_generators,
     so_n_casimir,
     spin_matrices,
     spin_projector,
@@ -24,23 +18,35 @@ from cliffchain.so_n import (
 )
 
 
+def _generators(n):
+    return [so_generator(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def test_generators_antisymmetric_exact():
-    for gen in so_generators(5):
-        assert np.array_equal(gen.matrix, -gen.matrix.T)
+    for L in _generators(5):
+        assert np.array_equal(L, -L.T)
+
+
+def _clifford_image(n, A):
+    """pi(A) = sum_{i<j} A_ij (1/2) gamma_i gamma_j for an antisymmetric A."""
+    out = CliffordElement.zero(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if A[i - 1, j - 1] != 0.0:
+                out = out + (0.5 * A[i - 1, j - 1]) * CliffordElement.gamma(n, i, j)
+    return out
 
 
 def test_commutation_closure_matrix_vs_clifford():
     # [pi(X), pi(Y)] = pi([X, Y]) for all generator pairs
     for n in range(3, 9):
-        gens = so_generators(n)
+        gens = _generators(n)
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 X, Y = gens[a], gens[b]
-                lhs_m = X.matrix @ Y.matrix - Y.matrix @ X.matrix
-                px = clifford_rep_so(n, X.matrix)
-                py = clifford_rep_so(n, Y.matrix)
+                px, py = _clifford_image(n, X), _clifford_image(n, Y)
                 lhs = px * py - py * px
-                rhs = clifford_rep_so(n, lhs_m)
+                rhs = _clifford_image(n, X @ Y - Y @ X)
                 assert dist(lhs, rhs) < 1e-12
 
 
@@ -118,8 +124,8 @@ def test_casimir_defining_and_trivial():
 def test_casimir_commutes_with_generators():
     for n in (3, 4, 5):
         C = so_n_casimir(n, lambda i, j: so_generator(n, i, j))
-        for gen in so_generators(n):
-            assert np.abs(C @ gen.matrix - gen.matrix @ C).max() < 1e-10
+        for L in _generators(n):
+            assert np.abs(C @ L - L @ C).max() < 1e-10
 
 
 def _pair_rep(n):
@@ -239,59 +245,58 @@ def test_pieri_against_casimir_clustering(n):
         assert lhs - matched == rest
 
 
+def _commutator_matrix(n, k, i, j):
+    """Oracle: [(1/2) gamma_i gamma_j, gamma_S] by two Clifford products, on the k-subsets S."""
+    x = 0.5 * CliffordElement.gamma(n, i, j)
+    subsets = [sum(1 << t for t in S) for S in combinations(range(n), k)]
+    out = np.zeros((len(subsets), len(subsets)), dtype=complex)
+    for col, S in enumerate(subsets):
+        B = CliffordElement(n, {S: 1.0})
+        image = x * B - B * x
+        out[:, col] = [image.coef.get(T, 0.0) for T in subsets]
+    return out
+
+
 def test_adjoint_action_matches_the_two_product_commutator():
-    rng = np.random.default_rng(23)
+    # wedge_generator is the adjoint action of so(n) on grade k of C_n
     for n in range(2, 8):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                x = 0.5 * CliffordElement.gamma(n, i, j)
-                B = CliffordElement(n, {int(b): complex(*rng.normal(size=2))
-                                        for b in rng.integers(0, 1 << n, size=6)})
-                got = adjoint_action(n, (i, j), B)
-                assert dist(got, x * B - B * x) <= 1e-15
+        for k in range(n + 1):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    assert np.array_equal(wedge_generator(n, k, i, j),
+                                          _commutator_matrix(n, k, i, j)), (n, k, i, j)
 
 
 def test_adjoint_action_examples():
-    got = adjoint_action(4, (1, 3), CliffordElement.gamma(4, 1, 2))
-    assert dist(got, CliffordElement.gamma(4, 2, 3)) < 1e-14
-    zero = adjoint_action(4, (1, 2), CliffordElement.one(4))
-    assert zero.is_zero()
+    # [(1/2) gamma_1 gamma_3, gamma_1 gamma_2] = gamma_2 gamma_3 on the 2-subsets
+    # 12, 13, 14, 23, 24, 34 of n = 4; the scalars are fixed
+    L = wedge_generator(4, 2, 1, 3)
+    assert L[3, 0] == 1.0 and np.count_nonzero(L[:, 0]) == 1
+    assert not np.any(wedge_generator(4, 0, 1, 2))
 
 
 def test_adjoint_action_preserves_grade_and_hodge():
+    # the commutator with (1/2) gamma_i gamma_j keeps each grade, and the Hodge
+    # star gamma0 commutes with it
     rng = np.random.default_rng(2)
     for n in (4, 5, 6):
+        x = 0.5 * CliffordElement.gamma(n, 2, 3)
         for bits in range(1, 1 << n):
             B = CliffordElement(n, {bits: 1.0})
-            out = adjoint_action(n, (1, 2), B)
-            assert out.grades() <= {bits.bit_count()}
+            assert (x * B - B * x).grades() <= {bits.bit_count()}
         for _ in range(5):
-            bits = int(rng.integers(0, 1 << n))
-            B = CliffordElement(n, {bits: 1.0})
-            lhs = adjoint_action(n, (2, 3), hodge_star(B))
-            rhs = hodge_star(adjoint_action(n, (2, 3), B))
+            B = CliffordElement(n, {int(rng.integers(0, 1 << n)): 1.0})
+            lhs = x * (gamma0(n) * B) - (gamma0(n) * B) * x
+            rhs = gamma0(n) * (x * B - B * x)
             assert dist(lhs, rhs) < 1e-12
 
 
 def test_weight_ladder_on_f():
-    # [pi(L_{2a-1,2a}), f_a] = i f_a
+    # L_{2a-1,2a} f_a = i f_a for f_a = e_{2a-1} + i e_{2a}, the weight
+    # vectors gamma_{2a-1} + i gamma_{2a} on grade 1
     for n in (4, 5, 6):
         for a in range(1, n // 2 + 1):
-            fa = f_element(n, a)
-            got = adjoint_action(n, (2 * a - 1, 2 * a), fa)
-            assert dist(got, 1j * fa) < 1e-12
-
-
-def test_highest_weight_examples():
-    assert highest_weight_check(4, f_element(4, 1) * f_element(4, 2))
-    assert highest_weight_check(4, f_element(4, 1) * f_tilde_element(4, 2))
-    assert not highest_weight_check(4, f_tilde_element(4, 1))
-    # products f_1 ... f_k are highest weight vectors of the wedge blocks
-    for n in (5, 6, 7):
-        B = CliffordElement.one(n)
-        for a in range(1, n // 2 + 1):
-            B = B * f_element(n, a)
-            assert highest_weight_check(n, B)
-    assert not highest_weight_check(5, f_tilde_element(5, 1))
-    # gamma0 is so(n)-invariant, hence trivially highest weight
-    assert highest_weight_check(6, gamma0(6))
+            fa = np.zeros(n, dtype=complex)
+            fa[2 * a - 2], fa[2 * a - 1] = 1.0, 1.0j
+            got = wedge_generator(n, 1, 2 * a - 1, 2 * a) @ fa
+            assert np.abs(got - 1j * fa).max() < 1e-12
