@@ -157,7 +157,9 @@ class CliffordElement:
 
     @classmethod
     def gamma(cls, n: int, *indices) -> "CliffordElement":
-        return cls(n, {_index_mask(n, indices): 1.0})
+        """gamma_{i_1} ... gamma_{i_k} in the order given: (-1)^(inversions) gamma_I."""
+        inversions = sum(a > b for t, a in enumerate(indices) for b in indices[t + 1:])
+        return cls(n, {_index_mask(n, indices): -1.0 if inversions % 2 else 1.0})
 
     # -- linear structure ---------------------------------------------
 

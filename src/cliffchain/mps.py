@@ -6,8 +6,10 @@ matrices.  Expectation values use the transfer map
 
     E_A(B)   = (1/n) sum_ij A_ij gamma_i B gamma_j
 
-acting on coefficient vectors over the 2^n monomial basis; the 'F_shared'
-transfer spectrum is that of alpha o E_1 on P_+ C_n^even.  A marginal is
+acting on coefficient vectors over the 2^n monomial basis, one signed
+gather per nonzero A_ij (_apply_transfer).  E_1 is diagonal, and both
+transfer spectra, E_1 and alpha o E_1 on P_+ C_n^even, are read off its
+integer diagonal; the dense e_matrix is a test oracle.  A marginal is
 (c / n^l) sum_K |psi(X_K)><psi(X_K)| over its frame X = {P gamma_K}, the
 (2^n, 2^n) coefficient array that rdm_frame builds in closed form; it is
 the one frame format.  The overlap kernel is diagonal in the monomial
@@ -39,6 +41,7 @@ import numpy as np
 from .checks import cluster_degeneracies, component_stacks
 from .clifford import (
     CliffordElement,
+    _check_rank,
     _parity,
     _sign_left,
     _sign_right,
@@ -231,24 +234,50 @@ def psi_minus(n: int, l: int, B: CliffordElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def e_matrix(n: int, A: np.ndarray) -> np.ndarray:
-    """Matrix of E_A on the 2^n monomial coefficient basis."""
+def _gather(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """src and sign with gamma_i gamma_src gamma_j = sign gamma_K, for every K.
+
+    src = M xor {i}, M = K xor {j}; the sign is _sign_left(i, src) _sign_right(j, M).
+    """
+    K = np.arange(1 << n, dtype=np.uint32)
+    M = K ^ np.uint32(1 << j)
+    src = M ^ np.uint32(1 << i)
+    return src, _sign_left(i, src) * _sign_right(j, M)
+
+
+def _apply_transfer(n: int, A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E_A applied to a coefficient vector: one signed gather per nonzero A_ij.
+
+    O(nnz(A) 2^n), with no (2^n, 2^n) array.
+    """
+    _check_rank(n)
     A = np.asarray(A, dtype=complex)
     if A.shape != (n, n):
         raise ValueError(f"expected {n}x{n} observable, got {A.shape}")
-    dim = 1 << n
-    K = np.arange(dim, dtype=np.uint32)
-    M = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        si = _sign_left(i, K).astype(complex)
+    out = np.zeros(1 << n, dtype=complex)
+    for i, j in zip(*np.nonzero(A)):
+        src, sign = _gather(n, i, j)
+        out += (A[i, j] / n) * sign * v[src]
+    return out
+
+
+def e_matrix(n: int, A: np.ndarray) -> np.ndarray:
+    """Dense matrix of E_A on the monomial basis, built column by column (a scatter).
+
+    An oracle that no library code calls.  test_mps reads it in
+    test_e_matrix_identity_eigenvalues, test_e_map_examples,
+    test_identity_sites_are_the_e1_diagonal, the fcs_expectation oracle of
+    test_fcs_and_correlators_match_the_per_site_oracle and
+    test_transfer_spectrum_matches_dense_eigenvalues.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (n, n):
+        raise ValueError(f"expected {n}x{n} observable, got {A.shape}")
+    K = np.arange(1 << n, dtype=np.uint32)
+    M = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i, j in zip(*np.nonzero(A)):
         Ki = K ^ np.uint32(1 << i)
-        for j in range(n):
-            a = A[i, j]
-            if a == 0.0:
-                continue
-            sj = _sign_right(j, Ki)
-            K2 = Ki ^ np.uint32(1 << j)
-            M[K2, K] += (a / n) * si * sj
+        M[Ki ^ np.uint32(1 << j), K] += (A[i, j] / n) * _sign_left(i, K) * _sign_right(j, Ki)
     return M
 
 
@@ -277,8 +306,8 @@ def fcs_expectation(n: int, ops, boundary: str = "omega") -> complex:
 
     e = 1 for 'omega' (prefactor 1/D), P_+- for 'plus'/'minus' (prefactor 2/D).
     Identity sites act as E_1, which is diagonal on monomials with the class
-    eigenvalue (-1)^k (n-2k)/n at grade k; every other distinct site operator
-    has its e_matrix built once per call.
+    eigenvalue (-1)^k (n-2k)/n at grade k; every other site is applied by
+    _apply_transfer.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -286,17 +315,12 @@ def fcs_expectation(n: int, ops, boundary: str = "omega") -> complex:
         raise ValueError("need at least one site operator")
     eye = np.eye(n)
     e_one = transfer_eigenvalue(n, _grades(n))
-    built: dict = {}
     v = coefvec(_boundary_element(n, boundary))
     for A in reversed(list(ops)):
-        A = np.asarray(A, dtype=complex)
         if np.array_equal(A, eye):
             v = e_one * v
-            continue
-        key = (A.shape, A.tobytes())
-        if key not in built:
-            built[key] = e_matrix(n, A)
-        v = built[key] @ v
+        else:
+            v = _apply_transfer(n, A, v)
     scale = 1.0 if boundary == "omega" else 2.0
     return complex(scale * v[0])
 
@@ -308,8 +332,6 @@ def fcs_expectation(n: int, ops, boundary: str = "omega") -> complex:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    n: int
-    variant: str
     eigenvalues: list  # (value, multiplicity), descending by value
     correlation_length: float
     is_primitive: bool
@@ -318,28 +340,6 @@ class SpectralSummary:
 def transfer_eigenvalue(n: int, k):
     """Class eigenvalue of E_1 on grade k: (-1)^k (n-2k)/n (k may be an array)."""
     return (-1) ** k * (n - 2 * k) / n
-
-
-def _p_plus_embedding(n: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Embed/restrict matrices for the span of P_+ gamma_K, K over half the bits.
-
-    With even=True only the even-grade K are kept (the P_+ C_n^even basis).
-    """
-    reps, emb = _domain_columns(n, "p_plus_even" if even else "p_plus")
-    res = np.zeros((len(reps), 1 << n), dtype=complex)
-    res[np.arange(len(reps)), reps] = 2.0
-    return emb, res
-
-
-def _decay_rate(n: int) -> float:
-    """Largest |class eigenvalue| over even grades 0 < k < n.
-
-    Chains of E maps applied to the boundary elements stay in the even
-    subalgebra, and the grade-0 / grade-n classes are the peripheral ones,
-    so this is the modulus that controls connected correlations.
-    """
-    rates = [abs(transfer_eigenvalue(n, k)) for k in range(2, n, 2)]
-    return max(rates) if rates else 0.0
 
 
 def _xi_from_rate(rate: float) -> float:
@@ -351,47 +351,40 @@ def _xi_from_rate(rate: float) -> float:
 
 
 def transfer_spectrum(n: int, variant: str = "E") -> SpectralSummary:
-    """Diagonalize a transfer map.
+    """Spectrum of a transfer map, read off the integer diagonal c = n diag(E_1).
 
     'E': the map E_1 (odd n: restricted to the P_+ basis).
     'F_shared': alpha o E_1 restricted to P_+ C_n^even (even n only).
+    E_1 is diagonal, as only its i = j terms fix gamma_K, and c(K) is the sum
+    of the signs of gamma_i gamma_K gamma_i.  A diagonal map d keeps the span
+    of the columns P_+ gamma_K, K below the top generator, exactly when
+    d[K] == d[K xor full]; its eigenvalues there are d[K] / n.
     """
-    M = e_matrix(n, np.eye(n))
+    _check_rank(n)
+    c = sum(_gather(n, i, i)[1].astype(np.int64) for i in range(n))
+    K = np.arange(1 << n)
+    even = _grades(n) % 2 == 0
     if variant == "E":
-        if n % 2 == 0:
-            evals = np.linalg.eigvals(M)
-        else:
-            emb, res = _p_plus_embedding(n)
-            Mr = res @ M @ emb
-            closure = M @ emb - emb @ Mr
-            if np.abs(closure).max() > 1e-10:
-                raise AssertionError("P_+ basis is not invariant under E_1")
-            evals = np.linalg.eigvals(Mr)
-        rate = _decay_rate(n)
+        d = c
+        reps = K if n % 2 == 0 else K[K < 1 << (n - 1)]
+        # E maps keep the even subalgebra, and grades 0 and n are peripheral
+        inner = even & (K > 0) & (K < K[-1])
+        rate = float(np.abs(c[inner]).max() / n) if inner.any() else 0.0
     elif variant == "F_shared":
         if n % 2:
             raise ValueError("the shared factorized map lives on even n")
-        F = alpha_signs(n)[:, None] * M
-        emb, res = _p_plus_embedding(n, even=True)
-        Fr = res @ F @ emb
-        closure = F @ emb - emb @ Fr
-        if np.abs(closure).max() > 1e-10:
-            raise AssertionError("P_+ even basis is not invariant under the shared map")
-        evals = np.linalg.eigvals(Fr)
-        sub = sorted(np.abs(evals))[:-1]
-        rate = float(sub[-1]) if sub else 0.0
+        d = alpha_signs(n) * c
+        reps = K[(K < 1 << (n - 1)) & even]
+        rate = float(np.sort(np.abs(d[reps]))[-2] / n) if reps.size > 1 else 0.0
     else:
         raise ValueError(f"unknown transfer variant {variant!r}")
-    if np.abs(evals.imag).max() > 1e-10:
-        raise AssertionError("transfer spectrum is not real")
-    clustered = cluster_degeneracies(evals.real)[::-1]
-    peripheral = sum(m for v, m in clustered if abs(abs(v) - 1.0) < 1e-9)
+    if reps.size < K.size and not np.array_equal(d[reps], d[reps ^ K[-1]]):
+        raise AssertionError(f"the P_+ basis is not invariant under the {variant} map")
+    values, counts = np.unique(d[reps], return_counts=True)
     return SpectralSummary(
-        n=n,
-        variant=variant,
-        eigenvalues=clustered,
+        eigenvalues=[(float(v / n), int(m)) for v, m in zip(values[::-1], counts[::-1])],
         correlation_length=_xi_from_rate(rate),
-        is_primitive=peripheral == 1,
+        is_primitive=int(counts[np.abs(values) == n].sum()) == 1,
     )
 
 

@@ -50,7 +50,6 @@ from .hamiltonians import (
     so_n_aklt,
 )
 from .mps import (
-    _decay_rate,
     rdm_eigen_by_grade,
     transfer_eigenvalue,
     transfer_spectrum,
@@ -300,7 +299,8 @@ def _eigenvalue_rows(ctx, n, l):
 
 
 def _check_correlation_length(ctx, n, l):
-    rate = _decay_rate(n)
+    # closed form: the largest |class eigenvalue| over even grades 0 < k < n
+    rate = max((abs(transfer_eigenvalue(n, k)) for k in range(2, n, 2)), default=0.0)
     xi = 0.0 if rate == 0.0 else -1.0 / math.log(rate)
     dev = abs(ctx.shared(_spectrum, n).correlation_length - xi)
     return dev < ctx.config.tol_match, {"xi": xi, "rate": rate, "dev": dev}, ""

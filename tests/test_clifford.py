@@ -98,6 +98,15 @@ def test_gamma_mul_basic_example():
         g(4, 5)
 
 
+def test_gamma_takes_the_product_in_the_order_given():
+    assert dist(g(4, 2, 1), g(4, 2) * g(4, 1)) == 0.0
+    assert dist(g(4, 2, 1), -g(4, 1, 2)) == 0.0
+    assert dist(g(4, 3, 1, 2), g(4, 3) * g(4, 1) * g(4, 2)) == 0.0
+    assert dist(g(4, 3, 1, 2), g(4, 1, 2, 3)) == 0.0
+    with pytest.raises(ValueError):
+        g(4, 2, 1, 2)
+
+
 def test_gamma_mul_squares():
     for n in range(2, 9):
         for bits in range(1 << n):

@@ -20,6 +20,7 @@ from cliffchain.mps import (
     BOND_DOMAINS,
     BOUNDARIES,
     MpsFamily,
+    _apply_transfer,
     _domain_columns,
     _effective_sign,
     _grade_kernel,
@@ -210,7 +211,7 @@ def test_apply_E_matches_matrix_realization():
             for j in range(n)
         ) / n
         assert np.abs(got - want).max() < 1e-12
-        Mv = e_matrix(n, A) @ coefvec(B)
+        Mv = _apply_transfer(n, A, coefvec(B))
         assert np.abs(Mv - coefvec(out)).max() < 1e-12
 
 
@@ -284,6 +285,35 @@ def test_transfer_spectrum_f_shared():
     assert s6.is_primitive
     with pytest.raises(ValueError):
         transfer_spectrum(5, "F_shared")
+
+
+def test_transfer_spectrum_matches_dense_eigenvalues():
+    # the dense oracle: eigvals of e_matrix(n, 1), restricted to the P_+ basis
+    # columns of _domain_columns at odd n and for F_shared
+    for n in range(2, 11):
+        M = e_matrix(n, np.eye(n))
+        variants = [("E", M, "full" if n % 2 == 0 else "p_plus")]
+        if n % 2 == 0:
+            variants.append(("F_shared", alpha_signs(n)[:, None] * M, "p_plus_even"))
+        for variant, F, domain in variants:
+            reps, emb = _domain_columns(n, domain)
+            restricted = (F @ emb)[reps] / emb[reps, np.arange(reps.size)][:, None]
+            assert np.abs(F @ emb - emb @ restricted).max() < 1e-12
+            want = cluster_degeneracies(np.linalg.eigvals(restricted).real)[::-1]
+            got = transfer_spectrum(n, variant).eigenvalues
+            assert [m for _, m in got] == [m for _, m in want]
+            assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) < 1e-12
+        exact = {transfer_eigenvalue(n, k) for k in range(n + 1)}
+        assert {v for v, _ in transfer_spectrum(n, "E").eigenvalues} <= exact
+
+
+def test_transfer_routines_refuse_ranks_above_16():
+    with pytest.raises(ValueError):
+        transfer_spectrum(17)
+    with pytest.raises(ValueError):
+        fcs_expectation(17, [np.eye(17)])
+    with pytest.raises(ValueError):
+        _apply_transfer(17, np.eye(17), np.zeros(1 << 17))
 
 
 def test_correlation_lengths():
