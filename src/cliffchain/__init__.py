@@ -44,6 +44,7 @@ from .mps import (
     rdm_eigen_by_grade,
     rdm_frame,
     reduced_density_matrix,
+    span_dim,
     transfer_eigenvalue,
     transfer_spectrum,
     two_point_correlation,

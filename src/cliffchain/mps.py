@@ -14,7 +14,7 @@ integer diagonal; the dense e_matrix is a test oracle.  A marginal is
 (2^n, 2^n) coefficient array that rdm_frame builds in closed form; it is
 the one frame format.  The overlap kernel is diagonal in the monomial
 basis with entries that depend only on the grade, a length-(n+1) vector
-built by a recurrence in l.  Two consequences replace dense linear
+built by a recurrence in l.  Three consequences replace dense linear
 algebra.  First, frame operators live in coefficient space: with Psi the
 map x -> psi(x) and D = realized_dim(n), Psi^H Psi / n^l = D^2 diag(kern)
 with kern >= 0, so n^-l Psi M Psi^H has the nonzero spectrum of
@@ -22,6 +22,8 @@ with kern >= 0, so n^-l Psi M Psi^H has the nonzero spectrum of
 matrix splits into blocks over the disjoint monomial supports of the
 frame (frame_operator_distance, frame_product_trace).  Second, the
 marginal spectrum has a closed form per grade (rdm_eigen_by_grade).
+Third, the dimension of the span of the states is an exact count of the
+domain columns of nonzero weight (span_dim), with no state formed.
 
 The bond domains are closed-form columns in the same format
 (_domain_columns): unit columns gamma_K for C_n and its grade parities,
@@ -56,12 +58,16 @@ DENSE_RDM_CAP = 4096
 
 
 def _grades(n: int) -> np.ndarray:
-    return np.array([k.bit_count() for k in range(1 << n)], dtype=np.int64)
+    """Grade |K| of every monomial K, by doubling: g(2^k + i) = g(i) + 1."""
+    g = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        g = np.concatenate([g, g + 1])
+    return g
 
 
 def _sq_signs(n: int) -> np.ndarray:
     """reversal_sign(|K|) for every monomial K."""
-    return np.array([reversal_sign(k.bit_count()) for k in range(1 << n)], dtype=np.int8)
+    return np.array([reversal_sign(k) for k in range(n + 1)], dtype=np.int8)[_grades(n)]
 
 
 def coefvec(B: CliffordElement) -> np.ndarray:
@@ -157,14 +163,20 @@ def _domain_columns(n: int, bond_domain: str) -> tuple[np.ndarray, np.ndarray]:
     columns of _projected_columns.  Column K is supported on K and on
     K xor full, so the columns have disjoint supports.
     """
+    K = _domain_monomials(n, bond_domain)
+    if bond_domain in ("full", "even", "odd"):
+        return K, np.eye(1 << n, dtype=complex)[:, K]
+    sign = "minus" if bond_domain == "p_minus_even" else "plus"
+    return K, _projected_columns(n, sign)[:, K]
+
+
+def _domain_monomials(n: int, bond_domain: str) -> np.ndarray:
+    """The monomials K that index the basis columns of a bond domain (_domain_columns)."""
     K = np.arange(1 << n)
     even = _grades(n) % 2 == 0
     if bond_domain in ("full", "even", "odd"):
-        keep = {"full": K >= 0, "even": even, "odd": ~even}[bond_domain]
-        return K[keep], np.eye(1 << n, dtype=complex)[:, keep]
-    keep = (K < 1 << (n - 1)) & (even | (bond_domain == "p_plus"))
-    sign = "minus" if bond_domain == "p_minus_even" else "plus"
-    return K[keep], _projected_columns(n, sign)[:, keep]
+        return K[{"full": K >= 0, "even": even, "odd": ~even}[bond_domain]]
+    return K[(K < 1 << (n - 1)) & (even | (bond_domain == "p_plus"))]
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +651,41 @@ def basis_states(fam: MpsFamily, l: int) -> np.ndarray:
     return _psi(fam.n, l, _domain_columns(fam.n, fam.bond_domain)[1])
 
 
+def span_dim(fam: MpsFamily, l: int) -> int:
+    """dim span {psi(B) : B in the bond domain} at length l, by an exact count.
+
+    With X the domain columns (_domain_columns) and Psi the map x -> psi(x),
+    the Gram of the basis states is X^H Psi^H Psi X = n^l D^2 X^H diag(kern) X
+    (_frame_blocks), kern = _grade_kernel(n, l)[_grades(n)] >= 0.  The
+    columns have disjoint supports, so this Gram is diagonal, and its rank
+    is the number of columns with a monomial of nonzero weight: K itself,
+    or K or K xor full for the projected domains.  Grade-recurrence
+    positivity decides each weight exactly: in the sign convention of
+    _grade_kernel the recurrence reads kern_{l+1}(k) = (k/n) kern_l(k-1) +
+    ((n-k)/n) kern_l(k+1), with both coefficients positive where defined,
+    and kern_0 = e_0, so by induction kern_l(k) != 0 exactly when k <= l
+    and k = l mod 2.  No state and no float weight enters the count; the
+    oracle is the dense rank of injectivity_rank
+    (test_mps::test_span_dim_is_the_rank_of_the_basis_states).
+    """
+    K = _domain_monomials(fam.n, fam.bond_domain)
+    grades = _grades(fam.n)[K]
+
+    def weighted(k):
+        return (k <= l) & ((l - k) % 2 == 0)
+
+    live = weighted(grades)
+    if fam.bond_domain.startswith("p_"):
+        live |= weighted(fam.n - grades)
+    return int(np.count_nonzero(live))
+
+
 def injectivity_rank(fam: MpsFamily, l: int) -> tuple[int, bool]:
     """Rank of B -> psi(B) on the family's bond domain, by a dense SVD of the states.
 
-    Read only by test_mps::test_injectivity_ranks so far; it is kept as the
-    oracle for a closed-form injectivity-length row.
+    The oracle of the exact count span_dim
+    (test_mps::test_span_dim_is_the_rank_of_the_basis_states) and read by
+    test_mps::test_injectivity_ranks.
     """
     Psi = basis_states(fam, l)
     svals = np.linalg.svd(Psi, compute_uv=False)

@@ -311,10 +311,14 @@ def _correlator_rows(ctx, n, l):
 
 
 def _check_peripheral_count(ctx, n, l):
+    # each eigenvalue is c / n for an integer c, so |v| == 1.0 is exact; the
+    # closed form: grade 0 at odd n (the P_+ representatives hold one of grades
+    # 0 and n), grades 0 and n at even n
     spectrum = ctx.shared(_spectrum, n)
-    peripheral = sum(m for v, m in spectrum.eigenvalues if abs(abs(v) - 1.0) < 1e-9)
-    want_primitive = n % 2 == 1
-    return spectrum.is_primitive == want_primitive, {"peripheral": peripheral}, ""
+    peripheral = sum(m for v, m in spectrum.eigenvalues if abs(v) == 1.0)
+    expected = 1 if n % 2 else 2
+    ok = peripheral == expected and spectrum.is_primitive == (expected == 1)
+    return ok, {"peripheral": peripheral, "expected": expected}, ""
 
 
 def _check_factorized_primitivity(ctx, n, l):

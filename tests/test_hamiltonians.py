@@ -1,11 +1,14 @@
 """Local terms, chain assembly, kernels, and the parent-chain checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffchain import hamiltonians
 from cliffchain.checks import cluster_degeneracies
 from cliffchain.hamiltonians import (
     DENSE_EIG_CAP,
@@ -24,7 +27,7 @@ from cliffchain.hamiltonians import (
     so_n_aklt,
     swap_matrix,
 )
-from cliffchain.mps import MpsFamily, element_from_coefvec, mps_vector
+from cliffchain.mps import MpsFamily, basis_states, element_from_coefvec, mps_vector
 from cliffchain.so_n import casimir_su2_pair, spin_matrices, spin_projector
 
 # SWAP + 0.3 Q on C^3 x C^3: its ground pair is antisymmetric, so its chains
@@ -427,12 +430,7 @@ def test_chain_kernel_matches_the_chain_matrix_oracle(h, l, d, dim):
     assert abs(K.dropped_min - dropped) <= 1e-12 * dropped
 
 
-@pytest.mark.parametrize("n, l, max_rows", [(5, 7, 400), (6, 6, 1116)])
-def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l, max_rows):
-    # step k+1 -> k+2 factors the (r_k d^2) x (r_{k+1} d) bracket of the
-    # bond-space lemma, never a matrix with d^(k+2) rows
-    h = so_n_aklt(n)
-    ranks = [1, n] + [chain_kernel(h, k, n).dim for k in range(2, l)]
+def _recorded_svd_shapes(monkeypatch):
     shapes, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
@@ -440,17 +438,62 @@ def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l, max_ro
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    assert chain_kernel(h, l, n).dim == 2 ** (n - 1)
-    assert shapes == [(ranks[k] * n**2, ranks[k + 1] * n) for k in range(l - 1)]
-    assert max(rows for rows, _ in shapes) == max_rows
+    return shapes
+
+
+@pytest.mark.parametrize("n, l", [(5, 7), (6, 6)])
+def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l):
+    # each step factors the charge blocks of the (r_k n^2) x (r_{k+1} n)
+    # bracket of the bond-space lemma, stacked by shape: every block is at
+    # most n^2 x n, and the blocks of a step hold every bracket column once
+    ranks = [1, n] + [chain_kernel(so_n_aklt(n), k, n).dim for k in range(2, l)]
+    shapes = _recorded_svd_shapes(monkeypatch)
+    assert chain_kernel(so_n_aklt(n), l, n).dim == 2 ** (n - 1)
+    assert all(len(shape) == 3 for shape in shapes)
+    assert max(rows for _, rows, _ in shapes) == n**2
+    assert max(cols for _, _, cols in shapes) == n
+    assert sum(count * cols for count, _, cols in shapes) == n * sum(ranks[1:l])
+
+
+def test_uncharged_term_factors_the_whole_bracket(monkeypatch):
+    # the spin-1 term mixes |+1,-1> with |0,0>, so it conserves no Z2^3
+    # charge: each step is one block, the whole (r_k 9) x (r_{k+1} 3) bracket
+    h, l = aklt_su2(), 6
+    assert not hamiltonians._site_charges(h, 3, 2).any()
+    ranks = [1, 3] + [chain_kernel(h, k, 3).dim for k in range(2, l)]
+    shapes = _recorded_svd_shapes(monkeypatch)
+    assert chain_kernel(h, l, 3).dim == 4
+    assert shapes == [(1, ranks[k] * 9, ranks[k + 1] * 3) for k in range(l - 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_charge_blocks_match_the_one_block_growth(monkeypatch, n):
+    # the unblocked step is the oracle: equal ranks at every length, and
+    # the same margin to 1e-12
+    h = so_n_aklt(n)
+    blocked = hamiltonians._grow_kernel(h, n, n)
+    monkeypatch.setattr(hamiltonians, "_site_charges",
+                        lambda h, d, support: np.zeros(d, dtype=np.int64))
+    whole = hamiltonians._grow_kernel(h, n, n)
+    assert blocked.ranks == whole.ranks
+    assert abs(blocked.dropped_min - whole.dropped_min) <= 1e-12 * whole.dropped_min
+    assert max(blocked.kept_max, whole.kept_max) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_parent_margin_is_the_closed_form(n):
+    g = hamiltonians._grow_kernel(so_n_aklt(n), n, n)
+    assert g.ranks[-1] == 2 ** (n - 1)
+    assert g.dropped_min == pytest.approx(np.sqrt(2 * n / (n - 1)), rel=1e-12)
+    assert g.kept_sum < 1e-13 and g.isometry_error < 1e-13
 
 
 def test_chain_kernel_reaches_past_the_dense_oracle():
-    # dimensions 5^7 = 78,125 and 6^6 = 46,656, far above DENSE_EIG_CAP
-    for n, l in ((5, 7), (6, 6)):
-        K = chain_kernel(so_n_aklt(n), l, n)
-        assert K.dim == 2 ** (n - 1)
-        assert projector_distance(K.vectors, mps_ground_space(n, l)) < 1e-8
+    # dimension 5^7 = 78,125, far above DENSE_EIG_CAP; test_parent_check_grid
+    # runs the same comparison at 6^6 = 46,656
+    K = chain_kernel(so_n_aklt(5), 7, 5)
+    assert K.dim == 16
+    assert projector_distance(K.vectors, mps_ground_space(5, 7)) < 1e-8
 
 
 def test_chain_kernel_validation():
@@ -462,12 +505,70 @@ def test_chain_kernel_validation():
 
 
 def test_parent_check_grid():
-    for n, l in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
+    # the row is a dimension count; the dense oracles compare the spans
+    for n, l in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)):
         rep = parent_check(n, l)
         assert rep.passed, rep.summary()
         assert rep.numbers["kernel_dim"] == 2 ** (n - 1)
         assert rep.numbers["mps_dim"] == 2 ** (n - 1)
-        assert rep.numbers["projector_distance"] < 1e-8
+        assert rep.numbers["span_residual"] <= 1e-12
+        assert rep.numbers["residual_bound"] < 1e-13
+        K = chain_kernel(so_n_aklt(n), l, n)
+        assert np.max(K.residuals) < 1e-13
+        assert projector_distance(K.vectors, mps_ground_space(n, l)) < 1e-8
+
+
+def test_parent_check_forms_no_chain_sized_array(monkeypatch):
+    # every d^l-row route is patched to raise, and the traced peak stays
+    # below one float column of the chain: 8 * 7^7 bytes = 6.6 MB
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route on the parent_check path")
+
+    for name in ("chain_kernel", "mps_ground_space", "projector_distance", "basis_states",
+                 "chain_entries", "kernel_basis"):
+        monkeypatch.setattr(hamiltonians, name, refuse)
+    tracemalloc.start()
+    try:
+        rep = parent_check(7, 7, cap=7**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.summary()
+    assert peak < 8 * 7**7
+    rep = parent_check(8, 8, cap=8**8)
+    assert rep.passed, rep.summary()
+    assert rep.numbers["kernel_dim"] == rep.numbers["mps_dim"] == 128
+
+
+def _antisymmetric_bump(n, eps):
+    """eps times the projector onto (e_01 - e_10) / sqrt(2): a term off the span identity."""
+    v = np.zeros(n * n)
+    v[1], v[n] = 1.0, -1.0
+    return eps * np.outer(v, v) / 2.0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_span_residual_is_the_two_site_state_residual(n):
+    # the O(d^4) check reads h on omega and the e_ij - e_ji; the two-site
+    # states of the whole bond algebra span exactly those, so the largest
+    # normalized column of h @ basis_states is the same number
+    Psi = basis_states(MpsFamily(n, "full"), 2)
+    norms = np.linalg.norm(Psi, axis=0)
+    Psi = Psi[:, norms > 0] / norms[norms > 0]
+    for h in (so_n_aklt(n), so_n_aklt(n) + _antisymmetric_bump(n, 1e-6)):
+        dense = float(np.linalg.norm(h @ Psi, axis=0).max())
+        assert hamiltonians._span_residual(h, n) == pytest.approx(dense, rel=1e-9, abs=1e-15)
+    assert hamiltonians._span_residual(so_n_aklt(n), n) <= 1e-12
+
+
+def test_span_residual_fails_a_term_off_the_identity(monkeypatch):
+    # the twisted term's antisymmetric pairs sit at its minimum, not in its kernel
+    assert hamiltonians._span_residual(TWISTED, 3) > 0.1
+    bumped = so_n_aklt(4) + _antisymmetric_bump(4, 1e-6)
+    monkeypatch.setattr(hamiltonians, "so_n_aklt", lambda n: bumped)
+    rep = parent_check(4, 4)
+    assert not rep.passed
+    assert rep.numbers["span_residual"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_mps_states_are_chain_ground_states():

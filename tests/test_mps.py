@@ -14,6 +14,7 @@ from cliffchain.clifford import (
     projectors_pm,
     realize,
     realized_dim,
+    reversal_sign,
     transpose_antiauto,
 )
 from cliffchain.mps import (
@@ -46,6 +47,7 @@ from cliffchain.mps import (
     rdm_entry_oracle,
     rdm_frame,
     reduced_density_matrix,
+    span_dim,
     transfer_eigenvalue,
     transfer_spectrum,
     two_point_correlation,
@@ -862,6 +864,26 @@ def test_injectivity_ranks():
     assert injectivity_rank(MpsFamily(4, "p_plus_even"), 4) == (4, True)
     assert injectivity_rank(MpsFamily(3, "p_plus"), 2) == (4, True)
     assert injectivity_rank(MpsFamily(4, "full"), 1) == (4, False)
+
+
+def test_span_dim_is_the_rank_of_the_basis_states():
+    # the exact count against the dense SVD rank, below and past the
+    # injectivity length, on every bond domain
+    for n, top in ((2, 8), (3, 7), (4, 6), (5, 5), (6, 5)):
+        for domain in BOND_DOMAINS:
+            try:
+                fam = MpsFamily(n, domain)
+            except ValueError:
+                continue
+            for l in range(1, top + 1):
+                assert span_dim(fam, l) == injectivity_rank(fam, l)[0], (n, domain, l)
+
+
+def test_grade_tables_match_bit_counts():
+    for n in (0, 1, 5, 12):
+        grades = [k.bit_count() for k in range(1 << n)]
+        assert _grades(n).tolist() == grades
+        assert _sq_signs(n).tolist() == [reversal_sign(k) for k in grades]
 
 
 def test_bond_identities_under_conjugation_and_reversal():

@@ -61,6 +61,15 @@ def test_transfer_campaign_passes_and_tabulates():
     assert len(corr) == 11
 
 
+def test_peripheral_count_is_the_closed_form():
+    # grade 0 at odd n, grades 0 and n at even n, counted by |v| == 1 exactly
+    report = run_campaign(CampaignConfig("transfer", n_list=(3, 4, 9, 10)))
+    for n in (3, 4, 9, 10):
+        row = _row(report, "peripheral-count", n, None)
+        assert row["status"] == "pass"
+        assert row["numbers"]["peripheral"] == row["numbers"]["expected"] == (1 if n % 2 else 2)
+
+
 def test_rows_are_sorted_and_typed():
     report = run_campaign(CampaignConfig("rdm", n_list=(4, 3), l_list=(3, 2)))
     keys = [
