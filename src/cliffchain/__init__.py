@@ -39,7 +39,6 @@ from .mps import (
     frame_product_trace,
     injectivity_rank,
     mps_vector,
-    psi_minus,
     psi_plus,
     rdm_eigen_by_grade,
     rdm_frame,
@@ -75,9 +74,7 @@ from .spt import (
     reflection_check,
     rotation_matrix,
     rotation_pair,
-    rotor_action,
     spin_lift,
-    spin_rep_element,
     theta_matrix,
     time_reversal_check,
 )

@@ -274,7 +274,12 @@ def projectors_pm(n: int) -> tuple[CliffordElement, CliffordElement]:
 
 
 def alpha(B: CliffordElement) -> CliffordElement:
-    """Conjugation by gamma_1.  Inner automorphism of order two."""
+    """Conjugation by gamma_1.  Inner automorphism of order two.
+
+    An oracle, by two Clifford products: mps.alpha_signs is its sign vector
+    on monomials, checked against it in
+    test_mps::test_alpha_signs_match_conjugation_by_gamma_1.
+    """
     g1 = CliffordElement.gamma(B.n, 1)
     return g1 * B * g1
 

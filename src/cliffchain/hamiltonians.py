@@ -476,8 +476,8 @@ def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBas
 
     V_l is contracted once from the site tensors, a d^l-row array, and its
     residuals ||H v|| on the whole chain are the end-to-end certificate.
-    The dense oracle paths read it: frustration_free_check, the dimer and
-    spin-1 rows and the tests; parent_check stops at the growth.
+    The dense paths read it: frustration_free_check, demo 05 and the tests;
+    parent_check and the dimer and spin-1 rows stop at the growth.
     """
     g = _grow_kernel(h, l, d, tol)
     h = _real_if_exact(np.asarray(h))

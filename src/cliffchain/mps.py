@@ -29,7 +29,8 @@ The bond domains are closed-form columns in the same format
 (_domain_columns): unit columns gamma_K for C_n and its grade parities,
 columns of _projected_columns for P_+ C_n and P_+- C_n^even.  Their
 supports are disjoint, so a domain's basis, its membership test (the
-residual off the span) and its basis states take no Clifford product;
+residual off the span, column by column in O(2^n)) and its basis states
+take no Clifford product;
 the conjugation alpha by gamma_1 is the sign vector alpha_signs.
 """
 
@@ -82,21 +83,28 @@ def element_from_coefvec(n: int, v: np.ndarray) -> CliffordElement:
     return CliffordElement(n, {int(b): complex(c) for b, c in enumerate(v)})
 
 
-def _projected_columns(n: int, sign: str) -> np.ndarray:
-    """Coefficient columns of P gamma_K for every monomial K, P = P_+ or P_-.
+def _projected_pairs(n: int, sign: str) -> tuple[complex, np.ndarray]:
+    """Entries of the columns P gamma_K, P = P_+ or P_-: a at row K, b[K] at row K^c.
 
     Closed form: P = (1 +- phase gamma_full) / 2 and gamma_full gamma_K =
     s(K) gamma_{K^c}, where K^c = K xor full and s(K) is the parity of
-    _suffix_parity(full) & K.  So column K is 1/2 at row K and
-    +-phase s(K) / 2 at row K^c, with no Clifford product.
+    _suffix_parity(full) & K.  So a = 1/2 and b[K] = +-phase s(K) / 2,
+    with no Clifford product.
     """
     P = projectors_pm(n)[0 if sign == "plus" else 1]
     full = (1 << n) - 1
     K = np.arange(1 << n, dtype=np.uint32)
     s = (1 - 2 * _parity(K & np.uint32(_suffix_parity(full)))).astype(np.int8)
+    return P.coef[0], P.coef[full] * s
+
+
+def _projected_columns(n: int, sign: str) -> np.ndarray:
+    """Coefficient columns of P gamma_K for every monomial K (_projected_pairs)."""
+    a, b = _projected_pairs(n, sign)
+    K = np.arange(1 << n, dtype=np.uint32)
     cols = np.zeros((1 << n, 1 << n), dtype=complex)
-    cols[K, K] = P.coef[0]
-    cols[K ^ np.uint32(full), K] = P.coef[full] * s
+    cols[K, K] = a
+    cols[K ^ np.uint32((1 << n) - 1), K] = b
     return cols
 
 
@@ -143,14 +151,26 @@ class MpsFamily:
     def contains(self, B: CliffordElement, tol: float = 1e-12) -> bool:
         """True iff B's residual off the span of the basis columns is below tol.
 
-        The columns X have disjoint supports, so X^H v divided by the squared
-        column norms is the orthogonal projection of v onto their span, exactly.
+        Column K of _domain_columns is the unit column at row K, or for the
+        projected domains a at row K and b[K] at row K^c (_projected_pairs).
+        Those supports are disjoint, so the orthogonal projection onto the
+        span is one projection per column onto its one or two entries:
+        O(2^n), with no (2^n, dim) array.
         """
         if B.n != self.n:
             return False
-        X = _domain_columns(self.n, self.bond_domain)[1]
+        n, domain = self.n, self.bond_domain
+        K = _domain_monomials(n, domain)
         v = coefvec(B)
-        residual = v - X @ ((X.conj().T @ v) / (np.abs(X) ** 2).sum(axis=0))
+        residual = v.copy()
+        if domain in ("full", "even", "odd"):
+            residual[K] = 0.0
+        else:
+            a, b = _projected_pairs(n, "minus" if domain == "p_minus_even" else "plus")
+            Kc, b = K ^ ((1 << n) - 1), b[K]
+            x = (np.conj(a) * v[K] + b.conj() * v[Kc]) / (abs(a) ** 2 + np.abs(b) ** 2)
+            residual[K] -= a * x
+            residual[Kc] -= b * x
         return np.abs(residual).max() < tol * max(1.0, B.norm_max())
 
 
@@ -234,11 +254,6 @@ def psi_plus(n: int, l: int, B: CliffordElement) -> np.ndarray:
     domain checked.
     """
     return _psi(n, l, coefvec(B))
-
-
-def psi_minus(n: int, l: int, B: CliffordElement) -> np.ndarray:
-    """The - state map: psi_minus(B) = psi_plus(alpha(B)), alpha as alpha_signs."""
-    return _psi(n, l, alpha_signs(n) * coefvec(B))
 
 
 # ---------------------------------------------------------------------------

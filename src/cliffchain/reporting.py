@@ -42,8 +42,8 @@ from .clifford import (
 )
 from .hamiltonians import (
     DENSE_EIG_CAP,
+    _grow_kernel,
     aklt_su2,
-    chain_kernel,
     frustration_free_check,
     majumdar_ghosh,
     parent_check,
@@ -323,8 +323,8 @@ def _check_peripheral_count(ctx, n, l):
 
 def _check_factorized_primitivity(ctx, n, l):
     shared = transfer_spectrum(n, "F_shared")
-    top = shared.eigenvalues[0]
-    ok = shared.is_primitive and abs(top[0] - 1.0) < 1e-12 and top[1] == 1
+    # eigenvalues are integers over n, so the top cluster is exactly (1.0, 1)
+    ok = shared.is_primitive and shared.eigenvalues[0] == (1.0, 1)
     return ok, {"clusters": len(shared.eigenvalues)}, ""
 
 
@@ -432,22 +432,23 @@ def _report_row(report):
     return report.passed, dict(report.numbers), report.notes
 
 
-def _margins(kernels) -> dict:
-    return {"kept_max": max(K.kept_max for K in kernels),
-            "cutoff": max(K.tol for K in kernels),
-            "dropped_min": min(K.dropped_min for K in kernels)}
+def _margins(growths) -> dict:
+    return {"kept_max": max(g.kept_max for g in growths),
+            "cutoff": max(g.tol for g in growths),
+            "dropped_min": min(g.dropped_min for g in growths)}
 
 
 def _check_dimer_kernel_dims(ctx, n, l):
     h = majumdar_ghosh()
-    kernels = [chain_kernel(h, length, 2, ctx.config.tol_kernel) for length in (4, 5, 6, 7)]
-    numbers = {f"dim_l{length}": K.dim for length, K in zip((4, 5, 6, 7), kernels)}
-    return [K.dim for K in kernels] == [5, 4, 5, 4], {**numbers, **_margins(kernels)}, ""
+    growths = [_grow_kernel(h, length, 2, ctx.config.tol_kernel) for length in (4, 5, 6, 7)]
+    dims = [g.ranks[-1] for g in growths]
+    numbers = {f"dim_l{length}": dim for length, dim in zip((4, 5, 6, 7), dims)}
+    return dims == [5, 4, 5, 4], {**numbers, **_margins(growths)}, ""
 
 
 def _check_spin1_kernel_dim(ctx, n, l):
-    K = chain_kernel(aklt_su2(), 4, 3, ctx.config.tol_kernel)
-    return K.dim == 4, {"kernel_dim": K.dim, **_margins([K])}, ""
+    g = _grow_kernel(aklt_su2(), 4, 3, ctx.config.tol_kernel)
+    return g.ranks[-1] == 4, {"kernel_dim": g.ranks[-1], **_margins([g])}, ""
 
 
 def _check_parent_kernel(ctx, n, l):

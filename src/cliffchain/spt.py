@@ -6,27 +6,25 @@ are always handled as (entrywise conjugation) followed by a unitary, and the
 density-matrix checks run on the coefficient columns of mps.rdm_frame, so
 no state vector is ever built.  Each image of a frame is an array
 expression: bar is cols.conj(), transpose_antiauto the reversal sign of
-each row, the axis flip -1 on the rows that hold gamma_1, and a rotor
-rotor_action(n, w) @ cols, or for the signed permutation theta a row
-gather times a sign.  Each frame distance is one eigvalsh per support
-block of the frame in kernel-weighted coefficient space
+each row, the axis flip -1 on the rows that hold gamma_1, and a rotor the
+plane moves of _rotor_conjugation.  Each frame distance is one eigvalsh
+per support block of the frame in kernel-weighted coefficient space
 (mps.frame_operator_distance), and a block is a set of monomial rows:
 bar, transpose_antiauto, the axis flip and the rotor of theta keep every
 complement class {K, K^c}, so those blocks have at most two rows, and
 SO(n) rotors keep grade pairs {k, n-k}.  The marginal spectra are the
 closed form mps.rdm_eigen_by_grade.
 
-Rotations act on those frames through one lemma.  If Pi is the rotor of
-w in SO(n), Pi gamma_i Pi^-1 = sum_j w_ji gamma_j, then for every monomial
-
-    Pi gamma_I Pi^-1 = sum_{|J| = |I|} det(w[J, I]) gamma_J,
-
-so conjugation keeps each grade k and acts there by the k-th compound
-matrix C_k(w).  rotor_action builds that map.  The lift itself is certified
-once per rotation on the rotor's dense coefficient vector: the Givens
-factors and the adjoint identity are generator moves, signed permutations
-of that vector, so no Clifford product is formed (spin_lift states the
-lemma).  The checks report the certificate as lift_residual.
+Every rotation comes from one list: the exact Givens factors (c, s, i, j)
+of w (_givens_factors).  The rotor's coefficient vector is built from
+their half turns (_rotor_coefficients) and certified once per rotation:
+the factors and the adjoint identity are generator moves, signed
+permutations of that vector, so no Clifford product is formed (spin_lift
+states the lemma).  The checks report the certificate as lift_residual.
+The same factors move the frames, one plane move each: a rotation in the
+plane (i, j) fixes gamma_K when both or neither of i, j is in K and
+otherwise turns the pair (gamma_K, gamma_{K xor ij}), so conjugation keeps
+each grade and no minor of w is formed (_rotor_conjugation).
 """
 
 from __future__ import annotations
@@ -92,38 +90,38 @@ def rotation_matrix(n: int, theta: float, i: int, j: int) -> np.ndarray:
     return w
 
 
-def spin_rep_element(n: int, theta: float, i: int, j: int) -> CliffordElement:
-    """cos(theta/2) 1 + sin(theta/2) gamma_i gamma_j, the rotor for rotation_matrix."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) at n={n}")
-    one = CliffordElement.one(n, math.cos(theta / 2.0))
-    plane = CliffordElement.gamma(n, i, j).scale(math.sin(theta / 2.0))
-    return one + plane
+def _givens_factors(n: int, w: np.ndarray) -> list[tuple[float, float, int, int]]:
+    """Factor w in SO(n) into plane rotations, as exact Givens ratios.
 
-
-def _require_special_orthogonal(w: np.ndarray) -> None:
-    n = w.shape[0]
-    if np.max(np.abs(w.T @ w - np.eye(n))) > 1e-10:
-        raise ValueError("matrix is not orthogonal")
-    if np.linalg.det(w) < 0:
-        raise ValueError("determinant -1 rotations have no rotor lift here")
-
-
-def _givens_factors(w: np.ndarray) -> list[tuple[float, int, int]]:
-    """Factor w in SO(n) as a left-to-right product of plane rotations."""
-    _require_special_orthogonal(w)
-    n = w.shape[0]
+    The sweep clears column col below the diagonal, rotating rows col and
+    row of A (initially w) in place by (c, s) = (a, b) / r, with a = A[col,
+    col], b = A[row, col] and r = hypot(a, b); the pivot becomes r and the
+    cleared entry an exact 0.  An entry that is already 0 over a
+    nonnegative pivot is skipped, but a -1 pivot over a zero still turns
+    by pi, (c, s) = (-1, 0).  Returns the (c, s, i, j) of each turn, 1-based
+    planes i < j in sweep order: w is the left-to-right product of their
+    transposes, the rotations by -atan2(s, c) in plane (i, j).  A signed
+    permutation gives c, s in {0, +-1} exactly.  Raises ValueError unless
+    w is an n x n matrix in SO(n).
+    """
     A = np.array(w, dtype=float)
+    if A.shape != (n, n):
+        raise ValueError(f"expected an {n}x{n} rotation, got shape {A.shape}")
+    if np.max(np.abs(A.T @ A - np.eye(n))) > 1e-10:
+        raise ValueError("matrix is not orthogonal")
+    if np.linalg.det(A) < 0:
+        raise ValueError("determinant -1 rotations have no rotor lift here")
     facs = []
     for col in range(n - 1):
         for row in range(col + 1, n):
             a, b = A[col, col], A[row, col]
-            # a -1 pivot over a zero entry still needs the turn by pi
-            if abs(b) < 1e-14 and a >= 0:
+            if b == 0 and a >= 0:
                 continue
-            th = math.atan2(b, a)
-            A = rotation_matrix(n, th, col + 1, row + 1) @ A
-            facs.append((-th, col + 1, row + 1))
+            r = math.hypot(a, b)
+            c, s = a / r, b / r
+            A[col], A[row] = c * A[col] + s * A[row], c * A[row] - s * A[col]
+            A[col, col], A[row, col] = r, 0.0
+            facs.append((c, s, col + 1, row + 1))
     if np.max(np.abs(A - np.eye(n))) > 1e-9:
         raise ValueError("Givens sweep did not reduce the rotation to the identity")
     return facs
@@ -147,18 +145,20 @@ def _left_move(g: int, v: np.ndarray) -> np.ndarray:
 def _rotor_coefficients(n: int, w: np.ndarray) -> np.ndarray:
     """Dense real coefficient vector of the rotor of w, Givens factor by factor.
 
-    Each factor c + s gamma_i gamma_j multiplies from the right as
-    Pi <- c Pi + s (Pi gamma_i gamma_j), two signed permutations: O(2^n).
+    The factor (c, s, i, j) of _givens_factors rotates by -t, (c, s) =
+    (cos t, sin t) with t in (-pi, pi], so its rotor is ch - sh gamma_i
+    gamma_j with (ch, sh) = (cos t/2, sin t/2), and it multiplies from the
+    right as Pi <- ch Pi - sh (Pi gamma_i gamma_j), two signed permutations:
+    O(2^n).  Both (1 + c, s) and (|s|, sign(s) (1 - c)) are positive
+    multiples of (ch, sh); the one normalized has no cancellation.
     """
     _check_rank(n)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
     pi = np.zeros(1 << n)
     pi[0] = 1.0
-    for th, i, j in _givens_factors(w):
-        c, s = math.cos(th / 2.0), math.sin(th / 2.0)
-        pi = c * pi + s * _right_move(j - 1, _right_move(i - 1, pi))
+    for c, s, i, j in _givens_factors(n, w):
+        x, y = (1.0 + c, s) if c >= 0 else (abs(s), math.copysign(1.0 - c, s))
+        r = math.hypot(x, y)
+        pi = (x / r) * pi - (y / r) * _right_move(j - 1, _right_move(i - 1, pi))
     return pi
 
 
@@ -210,72 +210,51 @@ def spin_lift(n: int, w: np.ndarray) -> tuple[CliffordElement, CliffordElement]:
     return Pi, transpose_antiauto(Pi)
 
 
-def rotor_action(n: int, w: np.ndarray) -> np.ndarray:
-    """Matrix of B -> Pi B Pi^-1 on monomial coefficients, Pi the rotor of w.
+def _rotor_conjugation(n: int, w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pi B Pi^-1 for each coefficient column B of cols, Pi the rotor of w.
 
-    Compound-matrix lemma: Pi gamma_I Pi^-1 is the Clifford product of the
-    rotated generators sum_j w_ji gamma_j over i in I, ascending.  The
-    columns of w are orthonormal, so every contraction between two factors
-    vanishes and only the wedge product survives, whose coefficients are
-    the k x k minors (Cauchy-Binet):
+    Plane-move lemma: the rotor of a plane rotation in (i, j) is
+    f = cos(t/2) + sin(t/2) gamma_i gamma_j.  When both or neither of i, j
+    is in K, gamma_i gamma_j commutes with gamma_K and f fixes it;
+    otherwise they anticommute and f gamma_K f^-1 = f^2 gamma_K =
+    cos t gamma_K + sin t gamma_i gamma_j gamma_K, where gamma_i gamma_j
+    gamma_K = _merge_sign(ij, K) gamma_{K xor ij}.  That is exp(t D_ij),
+    D_ij the rule of so_n.wedge_generator on every grade at once.  The
+    sign is -1 to the number of generators of K strictly between i and j,
+    times -1 when i is in K.  Each factor of _givens_factors (last first)
+    thus rotates the pairs (K with i, K with j) by (c, s), on a strided
+    view of the columns over bits i and j: O(n^2 2^n) per column.
 
-        Pi gamma_I Pi^-1 = sum_{|J| = |I|} det(w[J, I]) gamma_J.
-
-    The map keeps each grade k and acts there by the k-th compound matrix
-    C_k(w).  Entry (J, I) of the returned real 2^n x 2^n matrix, indexed by
-    bitmask, is det(w[J, I]); one batched determinant per grade builds it,
-    with no Clifford product.  Raises ValueError unless w is in SO(n).
+    When every factor has c s == 0, w is a signed permutation (theta, for
+    one) and so is its action; the moves then run exactly on the label
+    column 1..2^n, and the columns are gathered once by its entries.
+    Raises ValueError unless w is in SO(n).
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
-    _require_special_orthogonal(w)
-    masks = np.arange(1 << n)
-    grades = _grades(n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    R = np.zeros((1 << n, 1 << n))
-    R[0, 0] = 1.0
-    for k in range(1, n + 1):
-        sel = masks[grades == k]
-        idx = np.nonzero(bits[sel])[1].reshape(len(sel), k)  # ascending axes
-        minors = w[idx[:, None, :, None], idx[None, :, None, :]]
-        R[np.ix_(sel, sel)] = np.linalg.det(minors)
-    return R
-
-
-def _signed_permutation_action(n: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rotor_action(n, w) as a row gather and a sign, for a signed permutation w.
-
-    If column c of w holds its one nonzero s_c = +-1 in row p(c), then
-    Pi gamma_c Pi^-1 = s_c gamma_p(c), so Pi gamma_I Pi^-1 is the product of
-    the s_c gamma_p(c) over c in I ascending, +-gamma_p(I).  The sign of
-    each right factor is bit p(c) of _suffix_parity of the product so far
-    (_sign_right), the one sign routine.  Returns (src, sign) with
-
-        rotor_action(n, w) @ cols == sign[:, None] * cols[src]
-
-    in O(n 2^n), with no 2^n x 2^n matrix.  Raises ValueError unless w is a
-    signed permutation in SO(n).
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"expected an {n}x{n} rotation, got shape {w.shape}")
-    _require_special_orthogonal(w)
-    nonzero = w != 0
-    if np.any(nonzero.sum(axis=0) != 1) or np.any(np.abs(w[nonzero]) != 1):
-        raise ValueError("rotation is not a signed permutation")
-    rows = np.argmax(nonzero, axis=0)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    target = np.zeros(1 << n, dtype=np.uint32)
-    sign = np.ones(1 << n, dtype=np.int8)
-    for c in range(n):
-        has = ((masks >> np.uint32(c)) & np.uint32(1)).astype(bool)
-        step = int(w[rows[c], c]) * _sign_right(int(rows[c]), target)
-        sign = np.where(has, sign * step, sign)
-        target = np.where(has, target ^ np.uint32(1 << int(rows[c])), target)
-    src = np.empty(1 << n, dtype=np.intp)
-    src[target] = masks
-    return src, sign[src]
+    facs = _givens_factors(n, w)
+    signed = all(c * s == 0 for c, s, _, _ in facs)
+    if signed:
+        out = np.arange(1.0, (1 << n) + 1.0)
+    else:
+        out = np.array(cols, np.result_type(cols, 1.0), order="C")
+    real = out.view(out.real.dtype)  # the moves are real: re and im move alike
+    parity = (1.0 - 2 * (_grades(n) % 2))[:, None, None]
+    tmp = np.empty((2, real.size // 4), real.dtype)
+    for c, s, i, j in reversed(facs):
+        v = real.reshape(1 << (n - j), 2, 1 << (j - i - 1), 2, 1 << (i - 1), -1)
+        x, y = v[:, 0, :, 1], v[:, 1, :, 0]  # K with i only, K with j only
+        between = s * parity[:1 << (j - i - 1)]  # s _merge_sign(ij, K), K in y
+        by = np.multiply(between, y, out=tmp[0].reshape(x.shape))
+        bx = np.multiply(between, x, out=tmp[1].reshape(x.shape))
+        x *= c
+        x -= by
+        y *= c
+        y += bx
+    if not signed:
+        return out
+    src = np.abs(out).astype(np.intp) - 1
+    image = np.asarray(cols)[src]
+    image *= np.sign(out).reshape(-1, *(1,) * (image.ndim - 1))
+    return image
 
 
 @dataclass(frozen=True)
@@ -301,14 +280,13 @@ def rotation_pair(n: int) -> RotationPair:
 def cocycle_sign(n: int, rep="SPIN") -> int:
     """Sign s in U1 U2 U1^-1 U2^-1 = s * 1 for the Z2 x Z2 pair.
 
-    rep is "SPIN" (rotor lift), "DEFINING" (the rotations themselves), or an
-    explicit pair of unitary matrices.
+    rep is "SPIN" (the realized rotors of spin_lift), "DEFINING" (the
+    rotations themselves), or an explicit pair of unitary matrices.
     """
     if isinstance(rep, str):
         pair = rotation_pair(n)
         if rep == "SPIN":
-            U1 = realize(spin_rep_element(n, math.pi, 1, 2))
-            U2 = realize(spin_rep_element(n, math.pi, 1, 3))
+            U1, U2 = (realize(spin_lift(n, g)[0]) for g in (pair.g1, pair.g2))
         elif rep == "DEFINING":
             U1, U2 = pair.g1, pair.g2
         else:
@@ -391,10 +369,10 @@ def product_tensors(n: int) -> TensorFamily:
 
 @dataclass(frozen=True)
 class BondSymmetry:
-    w: np.ndarray = field(repr=False)
+    """Pi fixed up to phase: its largest-modulus entry is real and positive."""
+
     Pi: np.ndarray = field(repr=False)
     eigenvalue: complex
-    phase_convention: str
 
 
 def _transfer_matrix(tensors) -> np.ndarray:
@@ -446,7 +424,7 @@ def extract_bond_symmetry(family: TensorFamily, w: np.ndarray) -> BondSymmetry:
     )
     if worst > 1e-7:
         raise ValueError(f"extracted Pi fails the intertwining relation, residual {worst:.3e}")
-    return BondSymmetry(w, Pi, lam, "largest-entry-real-positive")
+    return BondSymmetry(Pi, lam)
 
 
 def mps_spt_index(family: TensorFamily) -> int:
@@ -525,8 +503,10 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
     theta has determinant 1, and every special rotation fixes each of rho+-,
     so the verdict always equals the conjugation verdict.  The rotor of theta
     is certified by _certify_lift; its margin is reported as lift_residual.
-    theta is a signed permutation, so its rotor acts on the frame as a row
-    gather times a sign (_signed_permutation_action).
+    The same Givens factors move the frame (_rotor_conjugation): theta is a
+    signed permutation, so its plane moves run on the label column and the
+    frame is gathered once.  The action is real, so it commutes with the
+    entrywise conjugation, which runs last, in place.
     """
     _require_even_n(n)
     th = theta_matrix(n)
@@ -540,8 +520,8 @@ def time_reversal_check(n: int, l: int) -> tuple[str, dict]:
 
     r_lift = _certify_lift(n, th, _rotor_coefficients(n, th))
     plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
-    src, sign = _signed_permutation_action(n, th)
-    image = sign[:, None] * plus[0][src].conj()
+    image = _rotor_conjugation(n, th, plus[0])
+    np.conj(image, out=image)
     verdict, r_fix, r_swap = _frame_verdict(n, l, image, plus, minus)
     verdict = INVARIANT if verdict == FIXES else verdict
     return verdict, {
@@ -570,7 +550,8 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5, seed: int = 0,
     flip maps the states to each other (to itself for odd n); (c) the two
     states have identical spectra.  (a) and (b) pass below tol.  Each
     rotation's rotor is certified by _certify_lift, and lift_residual is the
-    largest of those margins.  For even n, flip_unmatched is the distance
+    largest of those margins; the same Givens factors move the frames by
+    plane moves (_rotor_conjugation).  For even n, flip_unmatched is the distance
     from the flipped plus state to the plus state, the margin of the flip
     verdict.
     """
@@ -582,9 +563,9 @@ def on_site_breaking_check(n: int, l: int, rotations: int = 5, seed: int = 0,
     for _ in range(rotations):
         Q = _random_rotation(rng, n)
         r_lift = max(r_lift, _certify_lift(n, Q, _rotor_coefficients(n, Q)))
-        R = rotor_action(n, Q)
         for cols, c in frames.values():
-            r_rot = max(r_rot, frame_operator_distance(n, l, R @ cols, c, cols, c))
+            image = _rotor_conjugation(n, Q, cols)
+            r_rot = max(r_rot, frame_operator_distance(n, l, image, c, cols, c))
 
     src = boundaries[0]
     dst = boundaries[-1]  # partner state for even n, the same state for odd

@@ -41,7 +41,6 @@ from cliffchain.mps import (
     frame_product_trace,
     injectivity_rank,
     mps_vector,
-    psi_minus,
     psi_plus,
     rdm_eigen_by_grade,
     rdm_entry_oracle,
@@ -52,13 +51,23 @@ from cliffchain.mps import (
     transfer_spectrum,
     two_point_correlation,
 )
+from cliffchain import mps as mps_module
 from cliffchain.checks import cluster_degeneracies
 from cliffchain.reporting import _expected_grade_mult, _expected_grades
-from cliffchain.spt import _axis_flip_signs, _random_rotation, rotor_action, theta_matrix
+from cliffchain.spt import _axis_flip_signs, _random_rotation, _rotor_conjugation, theta_matrix
 
 
 def g(n, *idx):
     return CliffordElement.gamma(n, *idx)
+
+
+def psi_minus(n, l, B):
+    """Reference: the - state map psi(alpha(B)), with alpha as the sign vector alpha_signs.
+
+    The library carries the - state only as its frame (rdm_frame(n, l,
+    "minus")); this map is kept to pin that state on small cases.
+    """
+    return _psi(n, l, alpha_signs(n) * coefvec(B))
 
 
 def rand_element(rng, n, nterms=6, grades=None):
@@ -436,8 +445,8 @@ def _cpt_images(n, l):
     return {
         "bar": _stack([B.bar() for B in elems]),
         "transpose": _stack([transpose_antiauto(B) for B in elems]),
-        "theta": rotor_action(n, theta_matrix(n)) @ cols.conj(),
-        "rotor": rotor_action(n, _random_rotation(rng, n)) @ cols,
+        "theta": _rotor_conjugation(n, theta_matrix(n), cols.conj()),
+        "rotor": _rotor_conjugation(n, _random_rotation(rng, n), cols),
         "flip": _stack([_flip_first_axis_oracle(B) for B in elems]),
     }
 
@@ -464,7 +473,7 @@ def test_rotor_blocks_are_grade_pairs(n, l):
     # rotor mixes all of grade k while P gamma_K joins K to K^c, so each
     # grade pair {k, n-k} is one block of all its monomial rows
     cols, _ = rdm_frame(n, l, "plus")
-    image = rotor_action(n, _random_rotation(np.random.default_rng(5), n)) @ cols
+    image = _rotor_conjugation(n, _random_rotation(np.random.default_rng(5), n), cols)
     blocks = _frame_blocks(n, l, np.concatenate([image, cols], axis=1))
     got = sorted(Y.shape[1] for _, Y in blocks for _ in range(Y.shape[0]))
     want = sorted(math.comb(n, k) * (1 if 2 * k == n else 2) for k in range(l % 2, n // 2 + 1, 2))
@@ -837,6 +846,27 @@ def test_contains_matches_the_product_oracle():
             for B in others:
                 assert fam.contains(B) == _contains_oracle(fam, B), (n, fam.bond_domain, B)
             assert not fam.contains(g(n + 1, 1))
+
+
+@pytest.mark.parametrize("n, domains", (
+    (15, ("full", "p_plus")),
+    (16, ("full", "even", "odd", "p_plus_even", "p_minus_even")),
+))
+def test_contains_runs_at_large_n_without_dense_columns(monkeypatch, n, domains):
+    # a dense (2^n, dim) column array would need 16 GiB here
+    def refuse(*args):
+        raise AssertionError("contains built the dense domain columns")
+
+    monkeypatch.setattr(mps_module, "_projected_columns", refuse)
+    P_plus, P_minus = projectors_pm(n)
+    monomials = [g(n, 1), g(n, 1, 2), g(n, 2, 5, 9), g(n, *range(1, n))]
+    samples = monomials + [P * B for P in (P_plus, P_minus) for B in monomials]
+    samples.append(monomials[1] + 0.5 * monomials[2])
+    for domain in domains:
+        fam = MpsFamily(n, domain)
+        got = [fam.contains(B) for B in samples]
+        assert got == [_contains_oracle(fam, B) for B in samples], domain
+        assert any(got) and (domain == "full" or not all(got)), domain
 
 
 def test_alpha_signs_match_conjugation_by_gamma_1():

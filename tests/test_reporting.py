@@ -246,6 +246,23 @@ def test_kernel_rows_report_the_cutoff_between_their_margins():
     assert _row(report, "parent-kernel", 3, 4)["numbers"]["cutoff"] == pytest.approx(1e-10 * 8 / 3)
 
 
+def test_kernel_dimension_rows_match_the_assembled_kernels():
+    # the rows read the growth alone; the assembled bases give the same numbers
+    from cliffchain.hamiltonians import aklt_su2, chain_kernel, majumdar_ghosh
+
+    report = run_campaign(CampaignConfig("parent", n_list=(2, 3)))
+    dimer = [chain_kernel(majumdar_ghosh(), length, 2) for length in (4, 5, 6, 7)]
+    spin1 = chain_kernel(aklt_su2(), 4, 3)
+    for name, n, kernels in (("dimer-kernel-dims", 2, dimer), ("spin1-kernel-dim", 3, [spin1])):
+        numbers = _row(report, name, n, None)["numbers"]
+        assert numbers["kept_max"] == max(K.kept_max for K in kernels)
+        assert numbers["cutoff"] == max(K.tol for K in kernels)
+        assert numbers["dropped_min"] == min(K.dropped_min for K in kernels)
+    assert [_row(report, "dimer-kernel-dims", 2, None)["numbers"][f"dim_l{length}"]
+            for length in (4, 5, 6, 7)] == [K.dim for K in dimer]
+    assert _row(report, "spin1-kernel-dim", 3, None)["numbers"]["kernel_dim"] == spin1.dim
+
+
 def test_cap_sparse_is_the_parent_cap():
     at = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(6,), cap_sparse=729))
     assert _row(at, "parent-kernel", 3, 6)["status"] == "pass"

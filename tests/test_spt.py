@@ -1,11 +1,14 @@
 """Cocycle signs, bond-symmetry extraction, and the CPT checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cliffchain.clifford import CliffordElement, dist, matrix_rep, realize
 from cliffchain.mps import (
     MpsFamily,
+    _grades,
     coefvec,
     element_from_coefvec,
     frame_operator_distance,
@@ -24,7 +27,7 @@ from cliffchain.spt import (
     _givens_factors,
     _random_rotation,
     _rotor_coefficients,
-    _signed_permutation_action,
+    _rotor_conjugation,
     aklt_tensors,
     clifford_tensors,
     cocycle_sign,
@@ -36,9 +39,7 @@ from cliffchain.spt import (
     reflection_check,
     rotation_matrix,
     rotation_pair,
-    rotor_action,
     spin_lift,
-    spin_rep_element,
     theta_matrix,
     time_reversal_check,
 )
@@ -56,6 +57,42 @@ def rotate_generator(n, w, i):
         if abs(c) > 1e-15:
             out = out + CliffordElement.gamma(n, j).scale(c)
     return out
+
+
+def spin_rep_element(n, theta, i, j):
+    """Reference: cos(theta/2) 1 + sin(theta/2) gamma_i gamma_j, the rotor of rotation_matrix.
+
+    A closed form, kept to cross-check spin_lift factor by factor; the
+    library builds its rotors from the Givens factors alone.
+    """
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) at n={n}")
+    one = CliffordElement.one(n, math.cos(theta / 2.0))
+    return one + CliffordElement.gamma(n, i, j).scale(math.sin(theta / 2.0))
+
+
+def rotor_action(n, w):
+    """Oracle: the matrix of B -> Pi B Pi^-1 on monomial coefficients, by compound matrices.
+
+    Pi gamma_I Pi^-1 is the product of the rotated generators
+    sum_j w_ji gamma_j over i in I, ascending; the columns of w are
+    orthonormal, so only the wedge product survives, and its coefficients
+    are the k x k minors (Cauchy-Binet): entry (J, I) is det(w[J, I]).  The
+    checks took this O(8^n) route before the plane moves of
+    _rotor_conjugation; kept only to cross-check them.
+    """
+    _givens_factors(n, w)  # refuses w outside SO(n)
+    masks = np.arange(1 << n)
+    grades = _grades(n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    R = np.zeros((1 << n, 1 << n))
+    R[0, 0] = 1.0
+    for k in range(1, n + 1):
+        sel = masks[grades == k]
+        idx = np.nonzero(bits[sel])[1].reshape(len(sel), k)  # ascending axes
+        minors = w[idx[:, None, :, None], idx[None, :, None, :]]
+        R[np.ix_(sel, sel)] = np.linalg.det(minors)
+    return R
 
 
 def rand_so(rng, n):
@@ -85,7 +122,8 @@ def _spin_lift_oracle(n, w):
     product per Givens factor for Pi, the reversed inverse factors for
     Pi_inv, and the adjoint identity by n general products.
     """
-    facs = _givens_factors(w)
+    # factor (c, s, i, j) is the rotation by -atan2(s, c) in the plane (i, j)
+    facs = [(-math.atan2(s, c), i, j) for c, s, i, j in _givens_factors(n, w)]
     Pi = CliffordElement.one(n)
     Pi_inv = CliffordElement.one(n)
     for th, i, j in facs:
@@ -178,8 +216,7 @@ def test_certify_lift_rejects_a_rotor_of_another_rotation():
 
 def test_givens_sweep_turns_a_minus_one_pivot_over_a_zero_column():
     # diag(-1, -1, 1) has a -1 pivot with an exact zero below it: one turn by pi
-    assert [(abs(th), i, j) for th, i, j in _givens_factors(np.diag([-1.0, -1.0, 1.0]))] == [
-        (np.pi, 1, 2)]
+    assert _givens_factors(3, np.diag([-1.0, -1.0, 1.0])) == [(-1.0, 0.0, 1, 2)]
     for w, bits in ((np.diag([-1.0, -1.0, 1.0]), 0b11), (-np.eye(4), 0b1111)):
         n = len(w)
         Pi, Pi_inv = spin_lift(n, w)
@@ -427,7 +464,7 @@ def test_on_site_breaking_check_odd_n_and_short_block():
     assert rep.passed, rep.summary()
 
 
-# --- rotors as compound matrices -------------------------------------------
+# --- rotors by plane moves --------------------------------------------------
 
 
 def test_rotor_action_matches_clifford_conjugation():
@@ -453,35 +490,66 @@ def test_rotor_action_is_grade_blocked_orthogonal_and_multiplicative():
         assert np.abs(rotor_action(n, np.eye(n)) - np.eye(1 << n)).max() == 0.0
 
 
-def test_rotor_action_rejects_matrices_outside_so_n():
-    with pytest.raises(ValueError):
-        rotor_action(3, np.diag([-1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        rotor_action(3, np.eye(3) * 2.0)
-    with pytest.raises(ValueError):
-        rotor_action(4, np.eye(3))
+def _random_columns(rng, n, m=3):
+    cols = rng.standard_normal((1 << n, m)) + 1j * rng.standard_normal((1 << n, m))
+    cols[rng.random(cols.shape) < 0.3] = 0.0
+    return cols
 
 
-def test_signed_permutation_action_is_the_rotor_action_of_theta():
+def _random_signed_permutation(rng, n):
+    w = np.eye(n)[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+    if np.linalg.det(w) < 0:
+        w[:, 0] = -w[:, 0]
+    return w
+
+
+def test_rotor_conjugation_matches_the_compound_matrix_oracle():
+    rng = np.random.default_rng(71)
+    for n in range(2, 11):
+        w = rand_so(rng, n)
+        cols = _random_columns(rng, n)
+        assert np.abs(_rotor_conjugation(n, w, cols) - rotor_action(n, w) @ cols).max() < 1e-13
+        # a real column stays real, and one column may be passed flat
+        real = cols.real.copy()
+        image = _rotor_conjugation(n, w, real[:, 0])
+        assert image.dtype == float and image.shape == (1 << n,)
+        assert np.abs(image - rotor_action(n, w) @ real[:, 0]).max() < 1e-13
+
+
+def test_rotor_conjugation_is_exact_on_signed_permutations():
     rng = np.random.default_rng(59)
-    for n in range(2, 13, 2):
-        cols = rng.standard_normal((1 << n, 5)) + 1j * rng.standard_normal((1 << n, 5))
-        cols[rng.random(cols.shape) < 0.3] = 0.0
-        src, sign = _signed_permutation_action(n, theta_matrix(n))
-        assert np.array_equal(rotor_action(n, theta_matrix(n)) @ cols, sign[:, None] * cols[src])
+    for n in range(2, 11):
+        cols = _random_columns(rng, n)
+        flip = np.diag([-1.0, -1.0] + [1.0] * (n - 2))
+        perms = [_random_signed_permutation(rng, n) for _ in range(2)]
+        for w in (theta_matrix(n), np.eye(n), flip, *perms):
+            assert np.array_equal(_rotor_conjugation(n, w, cols), rotor_action(n, w) @ cols)
 
 
-def test_signed_permutation_action_rejects_other_matrices():
+def test_signed_permutation_factors_are_exact():
+    rng = np.random.default_rng(73)
+    for n in range(2, 13):
+        for w in (theta_matrix(n), *(_random_signed_permutation(rng, n) for _ in range(10))):
+            for c, s, _, _ in _givens_factors(n, w):
+                assert c in (0.0, 1.0, -1.0) and s in (0.0, 1.0, -1.0) and c * s == 0
+        # a generic rotation has a factor off the axes, so it takes the dense moves
+        assert any(c * s != 0 for c, s, _, _ in _givens_factors(n, rand_so(rng, n)))
+
+
+def test_rotor_conjugation_rejects_matrices_outside_so_n():
+    cols = np.eye(8)
     with pytest.raises(ValueError):
-        _signed_permutation_action(4, rand_so(np.random.default_rng(61), 4))
+        _rotor_conjugation(3, np.diag([-1.0, 1.0, 1.0]), cols)
     with pytest.raises(ValueError):
-        _signed_permutation_action(3, np.diag([-1.0, 1.0, 1.0]))
+        _rotor_conjugation(3, np.eye(3) * 2.0, cols)
+    with pytest.raises(ValueError):
+        _rotor_conjugation(4, np.eye(3), np.eye(16))
 
 
 @pytest.mark.parametrize("n, l", ((4, 4), (6, 4), (6, 6), (8, 8), (10, 10)))
 def test_time_reversal_residuals_match_the_dense_rotor(n, l):
-    # the row gather of theta gives the same image as the dense compound
-    # matrix, so every residual is bit-identical
+    # the gathered plane moves of theta give the same image as the dense
+    # compound matrix, so every residual is bit-identical
     verdict, res = time_reversal_check(n, l)
     plus, minus = rdm_frame(n, l, "plus"), rdm_frame(n, l, "minus")
     image = rotor_action(n, theta_matrix(n)) @ plus[0].conj()
@@ -500,10 +568,9 @@ def test_frame_checks_match_the_clifford_product_oracle(n, l):
     frames = {b: rdm_frame(n, l, b) for b in ("plus", "minus")}
     for _ in range(rotations):
         Q = _random_rotation(rng, n)
-        R = rotor_action(n, Q)
         for cols, c in frames.values():
             image = _rotor_image_oracle(n, Q, cols)
-            assert np.abs(R @ cols - image).max() < 1e-12
+            assert np.abs(_rotor_conjugation(n, Q, cols) - image).max() < 1e-12
             r_rot = max(r_rot, frame_operator_distance(n, l, image, c, cols, c))
     assert abs(rep.numbers["rotation_residual"] - r_rot) < 1e-12
 
