@@ -108,7 +108,8 @@ def _rotor_image_oracle(n, w, cols):
     """Oracle: Pi B Pi^-1 for each coefficient column B, by Clifford products.
 
     The checks took this route before rotor_action; it costs O(4^n) sign
-    merges per element and is kept only to cross-check the compound matrices.
+    merges per element and is kept only to cross-check the compound matrices
+    and the plane moves.
     """
     Pi, Pi_inv = spin_lift(n, w)
     images = [Pi * element_from_coefvec(n, v) * Pi_inv for v in cols.T]
