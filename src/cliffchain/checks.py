@@ -1,4 +1,4 @@
-"""Result record, eigenvalue clustering and support and charge blocking shared by the layers."""
+"""Result record, eigenvalue clustering and support blocking shared by the layers."""
 
 from __future__ import annotations
 
@@ -68,28 +68,6 @@ def _component_labels(rows: np.ndarray, cols: np.ndarray, num_nodes: int) -> np.
     return (np.cumsum(is_root) - 1)[label]
 
 
-def stack_by_label(parts, labels, count: int) -> list[tuple[np.ndarray, ...]]:
-    """Labelled nodes grouped by label, the groups stacked by shape.
-
-    parts are disjoint ascending arrays of node ids, one per kind of node,
-    and labels[i] gives the group (0..count-1) of each node of parts[i].
-    The shape of a group is its number of nodes in each part, and groups of
-    one shape share one stack.  Returns one tuple per shape, shapes
-    ascending: for each part a (count, size) array of node ids, one row per
-    group, groups in label order, ascending within a row.  A group with no
-    node in any part is left out.
-    """
-    sizes = np.stack([np.bincount(lab, minlength=count) for lab in labels])
-    starts = np.cumsum(sizes, axis=1) - sizes
-    orders = [p[np.argsort(lab, kind="stable")] for p, lab in zip(parts, labels)]
-    stacks = []
-    for shape in sorted(set(map(tuple, sizes[:, sizes.any(axis=0)].T.tolist()))):
-        labs = np.flatnonzero((sizes == np.array(shape)[:, None]).all(axis=0))
-        stacks.append(tuple(order[start[labs][:, None] + np.arange(size)]
-                            for order, start, size in zip(orders, starts, shape)))
-    return stacks
-
-
 def component_stacks(rows: np.ndarray, cols: np.ndarray, num_nodes: int,
                      *parts: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Connected components of an undirected graph, stacked by shape.
@@ -97,10 +75,22 @@ def component_stacks(rows: np.ndarray, cols: np.ndarray, num_nodes: int,
     The graph has nodes 0..num_nodes-1, and edge e joins rows[e] and
     cols[e]; callers list only exact nonzeros.  parts are disjoint ascending
     arrays of node ids, one per kind of node (for instance the columns and
-    the rows of a bipartite support graph).  The components are the groups
-    of stack_by_label, numbered by their smallest node, so each stack lists
-    its components in the order of their smallest node.
+    the rows of a bipartite support graph).  The shape of a component is its
+    number of nodes in each part, and components of one shape share one
+    stack.  Returns one tuple per shape, shapes ascending: for each part a
+    (count, size) array of node ids, one row per component, components in
+    the order of their smallest node, ascending within a row.  A component
+    with no node in any part is left out.
     """
     labels = _component_labels(rows, cols, num_nodes)
     count = int(labels.max(initial=-1)) + 1
-    return stack_by_label(parts, [labels[p] for p in parts], count)
+    part_labels = [labels[p] for p in parts]
+    sizes = np.stack([np.bincount(lab, minlength=count) for lab in part_labels])
+    starts = np.cumsum(sizes, axis=1) - sizes
+    orders = [p[np.argsort(lab, kind="stable")] for p, lab in zip(parts, part_labels)]
+    stacks = []
+    for shape in sorted(set(map(tuple, sizes[:, sizes.any(axis=0)].T.tolist()))):
+        labs = np.flatnonzero((sizes == np.array(shape)[:, None]).all(axis=0))
+        stacks.append(tuple(order[start[labs][:, None] + np.arange(size)]
+                            for order, start, size in zip(orders, starts, shape)))
+    return stacks

@@ -234,9 +234,6 @@ class CliffordElement:
     def norm_max(self) -> float:
         return max((abs(c) for c in self.coef.values()), default=0.0)
 
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return self.norm_max() <= tol
-
     def __repr__(self):
         if not self.coef:
             return f"CliffordElement({self.n}, 0)"

@@ -10,16 +10,14 @@ one site at a time as an isometric MPS.  By the isometry lemma in its
 docstring, each step's rank decision is one SVD of an (r_k d^s) x (r_m d)
 bond-space bracket, with the singular values and right singular vectors
 of the d^(m+1)-row chain matrix, and the singular values on both sides
-of the cut-off are the certificate.  When the term conserves the Z2^d
-colour-parity charges (site state e_a carries 1 << a, detected by an
-exact test on h), the bracket is a direct sum of charge blocks, gathered
-from h and the site tensors alone and factored in stacked SVDs; for the
-SO(n) terms no block exceeds d^2 x d.  chain_kernel assembles the
-basis from the growth for the dense paths.  parent_check forms no
-d^l-row array: it certifies ker H = span psi_l by a dimension count
-(the span identity on h, the exact span dimension mps.span_dim, and the
-grown rank), stated in its docstring; mps_ground_space and
-projector_distance are the dense oracles its tests compare against.
+of the cut-off are the certificate.  chain_kernel assembles the basis
+from the growth for the dense paths.  parent_check takes the same
+intersection in the bond algebra instead: ker H_l = span psi_l for the
+SO(n) AKLT chain at every length l >= 2, by the nullity of one small
+integer system per length, counted exactly mod a prime in one charge
+block per grade (the lemmas are in its docstring), with no cut-off and
+no d^l-row array; mps_ground_space and projector_distance are the dense
+oracles its tests compare against.
 kernel_basis, the oracle for chain_kernel, eigensolves the assembled
 chain up to DENSE_EIG_CAP, block by block: the connected components of
 the support graph of H make it block diagonal (the direct-sum lemma in
@@ -29,19 +27,22 @@ colour-parity sectors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import VerificationReport, component_stacks, stack_by_label
+from .checks import VerificationReport, component_stacks
+from .clifford import _merge_sign, gamma0
 from .mps import MpsFamily, basis_states, span_dim
 from .so_n import casimir_su2_pair, spin_matrices
 
-CHAIN_DIM_CAP = 2_000_000
 DENSE_EIG_CAP = 2048
+# 119 * 2^23 + 1: PRIME = 1 mod 4, and 3 generates its units, so
+# 3^((PRIME-1)/4) is a square root of -1 mod PRIME
+PRIME = 998_244_353
+_SQRT_MINUS_ONE = pow(3, (PRIME - 1) // 4, PRIME)
 
 
 def __getattr__(name: str):
@@ -298,42 +299,14 @@ def _contract(tensors: list[np.ndarray], r0: int, d: int) -> np.ndarray:
     return X
 
 
-def _charges(site: np.ndarray, sites: int) -> np.ndarray:
-    """XOR of the site charges of every basis state of `sites` sites, first site most significant."""
-    out = np.zeros(1, dtype=site.dtype)
-    for _ in range(sites):
-        out = (out[:, None] ^ site).ravel()
-    return out
-
-
-def _site_charges(h: np.ndarray, d: int, support: int) -> np.ndarray:
-    """The Z2^d charge 1 << a of each site state e_a, or all zeros if h does not conserve it.
-
-    h conserves the charges when h[p, q] != 0 only where the XOR of the
-    site charges of p equals that of q, an exact test on the entries of h.
-    The SO(n) terms pass it, since they commute with every diagonal axis
-    flip; a term that fails it gets the zero charge on every site, so that
-    its brackets are one block.
-    """
-    if d < 63:
-        site = np.int64(1) << np.arange(d, dtype=np.int64)
-        q = _charges(site, support)
-        if np.all((h == 0) | (q[:, None] == q[None, :])):
-            return site
-    return np.zeros(d, dtype=np.int64)
-
-
 class KernelGrowth(NamedTuple):
-    """The isometric MPS of a chain kernel and the certificate of its growth.
+    """The isometric MPS of a chain kernel and the margin of its growth.
 
     tensors holds the site tensors N_j, of shape (r_{j-1} d, r_j), and
     ranks the bond dimensions r_0 = 1, ..., r_j; after a step that leaves
     no null vector the growth stops, so ranks[-1] is the kernel dimension.
     tol is the absolute cut-off, kept_max and dropped_min the largest kept
-    and smallest dropped singular value over all steps, kept_sum the sum
-    over steps of each step's largest kept value, and isometry_error the
-    largest absolute row sum of N_j^H N_j - 1 over the grown tensors, an
-    upper bound on its spectral norm ||N_j^H N_j - 1||.
+    and smallest dropped singular value over all steps.
     """
 
     tensors: list
@@ -341,8 +314,6 @@ class KernelGrowth(NamedTuple):
     tol: float
     kept_max: float
     dropped_min: float
-    kept_sum: float
-    isometry_error: float
 
 
 def _grow_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelGrowth:
@@ -365,33 +336,10 @@ def _grow_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelGro
     The left factor is an isometry, so the bracket, an (r_k d^s) x (r_m d)
     matrix, has the same singular values and the same right singular
     vectors as the d^(m+1)-row chain matrix: N_{m+1}, kept_max and
-    dropped_min are those of the chain matrix.
-    The lemma also bounds the residual: the tensors after N_{m+1} are
-    isometries, so the term that step m+1 adds contributes at most
-    ||bracket N_{m+1}||, the step's largest kept value, to ||H V_l||, and
-    kept_sum bounds ||H V_l||.
-
-    Charge blocks.  When h conserves the Z2^d charges of _site_charges,
-    each bond index carries the XOR of the site charges to its left:
-    the identity tensors have charged indices, and every null vector found
-    below lies in one charge sector.  An entry of the bracket at row
-    (a, p, i) and column (c, j) is a sum of h[(p, i), (q, j)] B[(a, q), c],
-    nonzero only where the charges of (p, i) and (q, j) agree and those of
-    (a, q) and c do, so it vanishes unless the row charge q_a ^ q_p ^ q_i
-    equals the column charge q_c ^ q_j.  The bracket is therefore a direct
-    sum of charge blocks, and its singular values and null space are those
-    of the blocks.  Each block is gathered from h and B alone, so the
-    bracket itself is never formed; blocks of one shape share one stacked
-    SVD, and each null vector is embedded with zeros outside its block.
-    Rows whose charge no column carries are zero and add no singular
-    value.  Each block is as tall as it is wide: the columns of B of one
-    charge are orthonormal vectors within the rows (a, q) of that charge,
-    so the columns (c, j) of charge t are at most the (a, q, j) of charge
-    t, which are the block's rows.  So its thin SVD gives a singular
-    value for every column, and the kept and dropped values are those of
-    the unblocked bracket.  A term that does not conserve the charges is
-    one block, the whole bracket; no block is larger than d^s x d for the
-    SO(n) terms, whose bond indices all carry distinct charges.
+    dropped_min are those of the chain matrix.  The bracket is as tall as
+    it is wide, since B_m has orthonormal columns and so r_m <= r_k
+    d^(s-1); its thin SVD gives a singular value for every column, and one
+    SVD per step factors it whole.
 
     The rank is read against tol times the norm bound of h.  The first
     step, from the identity on s-1 sites, gives ker h, and once a step
@@ -404,71 +352,22 @@ def _grow_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelGro
         raise ValueError(f"chain length {l} shorter than the term support {support}")
     h = _real_if_exact(np.asarray(h))
     tol_eff = tol * max(1.0, _norm_bound(h))
-    dq = d ** (support - 1)
-    h3 = h.reshape(d**support, dq, d)  # h[(p, i), (q, j)] at [(p, i), q, j]
-    site = _site_charges(h, d, support)
-    term_q = _charges(site, support)
     tensors = [np.eye(d**j, dtype=h.dtype) for j in range(1, support)]
     ranks = [d**j for j in range(support)]
-    charges = [_charges(site, j) for j in range(support)]
-    kept, dropped, kept_sum, iso = 0.0, math.inf, 0.0, 0.0
+    kept, dropped = 0.0, math.inf
     for m in range(support - 1, l):
         k = m + 1 - support
-        B = _contract(tensors[k:], ranks[k], d).reshape(ranks[k], dq, ranks[m])
-        row_q = (charges[k][:, None] ^ term_q).ravel()  # rows (a, p, i)
-        col_q = (charges[m][:, None] ^ site).ravel()  # columns (c, j)
-        values, nulls, parts, new_q = [], [], [], []
-        for cols, a, pi, c, j in _block_gathers(row_q.tobytes(), col_q.tobytes(), d**support, d):
-            block = sum(h3[pi, q, j] * B[a, q, c] for q in range(dq))
-            _, sv, vh = np.linalg.svd(block, full_matrices=False)
-            null = sv < tol_eff
-            b, t = np.nonzero(null)
-            N = np.zeros((ranks[m] * d, b.size), dtype=vh.dtype)
-            N[cols[b], np.arange(b.size)[:, None]] = vh[b, t].conj()
-            W = vh * null[:, :, None]
-            gram = W @ W.conj().transpose(0, 2, 1) - np.eye(W.shape[1]) * null[:, :, None]
-            iso = max(iso, float(np.abs(gram).sum(axis=2).max(initial=0.0)))
-            values.append(sv.ravel())
-            nulls.append(null.ravel())
-            parts.append(N)
-            new_q.append(col_q[cols[b, 0]])
-        step_kept, step_dropped = _margin(np.concatenate(values), np.concatenate(nulls))
+        B = np.kron(_contract(tensors[k:], ranks[k], d), np.eye(d))
+        bracket = (h @ B.reshape(ranks[k], h.shape[0], -1)).reshape(-1, B.shape[1])
+        _, sv, vh = np.linalg.svd(bracket, full_matrices=False)
+        null = sv < tol_eff
+        step_kept, step_dropped = _margin(sv, null)
         kept, dropped = max(kept, step_kept), min(dropped, step_dropped)
-        kept_sum += step_kept
-        tensors.append(np.concatenate(parts, axis=1))
+        tensors.append(vh[null].conj().T)
         ranks.append(tensors[-1].shape[1])
-        charges.append(np.concatenate(new_q))
         if not ranks[-1]:
             break
-    return KernelGrowth(tensors, ranks, tol_eff, kept, dropped, kept_sum, iso)
-
-
-@functools.lru_cache(maxsize=32)
-def _block_gathers(row_key: bytes, col_key: bytes, row_split: int, col_split: int) -> tuple:
-    """Gather indices of the charge blocks of a bracket, stacked by shape.
-
-    row_key and col_key hold the int64 charges of the bracket's rows
-    (a, P), P < row_split, and columns (c, j), j < col_split.  One block
-    per charge that a column carries: the columns of that charge and the
-    rows of the same charge; rows whose charge no column carries are in no
-    block.  Blocks of one shape share one stack (checks.stack_by_label),
-    and each stack is returned as (cols, a, P, c, j): cols the (count, C)
-    column indices, and the row and column digits shaped to broadcast to
-    (count, R, C).  Cached, because the bond charges repeat: from step to
-    step of a chain, and between the chains of one term.
-    """
-    row_q, col_q = np.frombuffer(row_key, np.int64), np.frombuffer(col_key, np.int64)
-    values, col_lab = np.unique(col_q, return_inverse=True)
-    pos = np.minimum(np.searchsorted(values, row_q), values.size - 1)
-    hit = values[pos] == row_q
-    stacks = stack_by_label((np.flatnonzero(hit), np.arange(col_q.size)),
-                            (pos[hit], col_lab.ravel()), values.size)
-    out = tuple((cols, *np.divmod(rows[:, :, None], row_split),
-                 *np.divmod(cols[:, None, :], col_split)) for rows, cols in stacks)
-    for arrays in out:
-        for x in arrays:
-            x.setflags(write=False)  # every caller shares the cached arrays
-    return out
+    return KernelGrowth(tensors, ranks, tol_eff, kept, dropped)
 
 
 def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBasis:
@@ -477,7 +376,8 @@ def chain_kernel(h: np.ndarray, l: int, d: int, tol: float = 1e-10) -> KernelBas
     V_l is contracted once from the site tensors, a d^l-row array, and its
     residuals ||H v|| on the whole chain are the end-to-end certificate.
     The dense paths read it: frustration_free_check, demo 05 and the tests;
-    parent_check and the dimer and spin-1 rows stop at the growth.
+    the dimer and spin-1 rows stop at the growth, and parent_check grows
+    no kernel.
     """
     g = _grow_kernel(h, l, d, tol)
     h = _real_if_exact(np.asarray(h))
@@ -550,66 +450,166 @@ def _span_residual(h: np.ndarray, d: int) -> float:
     return float(max(np.linalg.norm(sym), np.linalg.norm(anti, axis=0).max(initial=0.0)))
 
 
-def parent_check(n: int, l: int, cap: int = CHAIN_DIM_CAP,
-                 tol: float = 1e-10) -> VerificationReport:
-    """ker H_l = span psi_l for the SO(n) AKLT chain, by a dimension count.
+def _live(n: int, grade: int, m: int) -> bool:
+    """Whether a monomial of this grade, or for odd n its class, lies in W_m (psi_m sees it)."""
+    grades = (grade, n - grade) if n % 2 else (grade,)
+    return any(k <= m and (m - k) % 2 == 0 for k in grades)
 
-    Three facts, none of which forms a d^l-row array, give the certificate.
 
-    1. span psi_l is in ker H_l (span_residual).  With psi(B)_{i_1..i_l} =
-       Tr(B gamma_{i_l}...gamma_{i_1}), the term on sites x, x+1 gives
-       (h_x psi(B))_{..ab..} = Tr(B ... X_ab ...) with the trace form
-       X_ab = sum_ij h[ab, ij] gamma_j gamma_i.  As gamma_i gamma_i = 1 and
-       gamma_j gamma_i = -gamma_i gamma_j for i != j, X_ab = (h omega)_ab -
-       sum_{i<j} (h (e_ij - e_ji))_ab gamma_i gamma_j, with omega =
-       sum_i e_ii, and 1 and the gamma_i gamma_j are independent.  So
-       X_ab = 0 for all a, b exactly when h annihilates omega and every
-       e_ij - e_ji, and then h_x psi_l(B) = 0 at every x, l and B.
-       span_residual is the largest ||h v|| over those states, normalized
-       (_span_residual); it is rounding only, and must be at most 1e-12.
-    2. dim span psi_l = mps_dim, the exact count of mps.span_dim over
-       the bond domain of mps_ground_space: the columns whose kernel
-       weight is nonzero, decided by grade-recurrence positivity
-       (z_l(k) != 0 exactly when k <= l and k = l mod 2).
-    3. dim ker H_l = kernel_dim, the last rank of _grow_kernel.  Weyl's
-       inequality |sigma_i(A + E) - sigma_i(A)| <= ||E|| moves each
-       singular value of a step by at most its rounding error E, far below
-       the gap between kept_max and dropped_min around the cut-off, so no
-       value above the cut-off belongs to an exact null vector and the
-       exact nullity of each step is at most its count below the cut-off:
-       dim ker H_l <= kernel_dim.  The steps rest on isometries, checked to
-       isometry_error; residual_bound, the sum of the steps' kept values,
-       bounds ||H V_l|| by the isometry lemma of _grow_kernel.
+def _class(n: int, M: int, c: complex) -> tuple[int, complex]:
+    """(K, f) with gamma_M = f gamma_K and K the representative of M's class.
 
-    By 1 and 2, dim ker H_l >= mps_dim; by 3, dim ker H_l <= kernel_dim.
-    The row passes when kernel_dim == mps_dim == 2^(n-1), span_residual
-    and isometry_error are at most 1e-12: then ker H_l has dimension
-    2^(n-1) and contains span psi_l of the same dimension, so the two are
-    equal.  tol is the growth's cut-off, relative to the norm bound of the
-    local term, and the absolute cut-off is reported as cutoff.
-    mps_ground_space and projector_distance, the dense comparison this
-    count replaces, stay as the oracles of the tests.
+    For even n every monomial is its own class.  For odd n, modulo
+    gamma_top - c, gamma_M = c sign(gamma_{M^c} gamma_top) gamma_{M^c}, and
+    the class {M, M^c} is represented by its member with |K| < n/2.
     """
-    if n**l > cap:
-        raise ValueError(f"chain dimension {n}^{l} exceeds the cap {cap}")
+    if n % 2 == 0 or 2 * M.bit_count() < n:
+        return M, 1
+    full = (1 << n) - 1
+    return M ^ full, c * _merge_sign(M ^ full, full)
+
+
+def _mod_prime(z: np.ndarray) -> np.ndarray:
+    """Gaussian integers x + iy, exact in floating point, as x + y sqrt(-1) mod PRIME."""
+    re, im = np.rint(z.real).astype(np.int64), np.rint(z.imag).astype(np.int64)
+    return (re + im * _SQRT_MINUS_ONE) % PRIME
+
+
+def _nullity_mod_prime(A: np.ndarray) -> int:
+    """Number of columns minus the rank of an integer matrix over GF(PRIME), by elimination.
+
+    Every entry stays below PRIME < 2^30, so each product fits in int64.
+    """
+    A = A % PRIME
+    rank = 0
+    for col in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), PRIME - 2, PRIME) % PRIME
+        A[rank + 1:] = (A[rank + 1:] - A[rank + 1:, col, None] * A[rank]) % PRIME
+        rank += 1
+    return A.shape[1] - rank
+
+
+def _charge_block(nh: np.ndarray, n: int, m: int, Q: int) -> np.ndarray:
+    """Block Q of the bond system S_m of parent_check, entries mod PRIME.
+
+    Rows (a, b) and the columns j with Q xor {j} live at m: column (j, K)
+    is the coefficient of gamma_K in B_j, row (a, b) that of gamma_L in
+    X_ab, with L = Q xor {a} xor {b}.  The entry is the sum over i with
+    K xor {i} = L (up to the class factor for odd n) of nh[ab, ij] times
+    the sign of gamma_K gamma_i; rows whose L is not live at m - 1 are zero.
+    """
+    c = 1 / gamma0(n).coef[(1 << n) - 1]
+    nh3 = nh.reshape(n * n, n, n)  # nh[ab, ij] at [ab, i, j]
+    cols = []
+    for j in range(n):
+        K, _ = _class(n, Q ^ (1 << j), c)
+        if not _live(n, K.bit_count(), m):
+            continue
+        w = np.zeros(n, dtype=complex)
+        for i in range(n):
+            L, f = _class(n, K ^ (1 << i), c)
+            if _live(n, L.bit_count(), m - 1):
+                w[i] = _merge_sign(K, 1 << i) * f
+        cols.append(nh3[:, :, j] @ w)
+    return _mod_prime(np.array(cols).reshape(-1, n * n).T)
+
+
+def _charge_grades(n: int) -> range:
+    """The grades of the charges: 0..n, or below n/2 for odd n, where charges are taken mod the full mask."""
+    return range(n + 1) if n % 2 == 0 else range((n + 1) // 2)
+
+
+def _kernel_counts(nh: np.ndarray, n: int) -> list[int]:
+    """Nullity of S_m mod PRIME for m = 1..n+1, that is dim ker H_l for l = 2..n+2.
+
+    One block per charge grade, the first g axes, weighted by the C(n, g)
+    charges of its grade (the orbit lemma of parent_check).
+    """
+    return [sum(math.comb(n, g) * _nullity_mod_prime(_charge_block(nh, n, m, (1 << g) - 1))
+                for g in _charge_grades(n)) for m in range(1, n + 2)]
+
+
+def parent_check(n: int, l: int) -> VerificationReport:
+    """ker H_l = span psi_l for the SO(n) AKLT chain, at every length, by counts mod PRIME.
+
+    psi_m(B)_{i_1..i_m} = Tr(B gamma_{i_m}...gamma_{i_1}), and W_m, the
+    live monomials, have grade k <= m with k = m mod 2.  For odd n the
+    trace sees C_n modulo gamma_top - c, c = 1/phase of gamma0 (the P_+
+    realization, gamma0 = 1): the classes {K, K^c} of _class, live when K
+    or K^c is.  psi_m is injective on span W_m and zero off it (the lemma
+    of mps.span_dim), so dim span psi_m = |W_m| = span_dim.
+
+    1. Span identity.  The term on sites x, x+1 gives (h_x psi(B))_{..ab..}
+       = Tr(B ... X_ab ...), X_ab = sum_ij h[ab, ij] gamma_j gamma_i =
+       (h omega)_ab - sum_{i<j} (h (e_ij - e_ji))_ab gamma_i gamma_j with
+       omega = sum_i e_ii, so h kills every psi_l(B) exactly when it kills
+       omega and every e_ij - e_ji.  Checked on the integer term
+       nh = rint(n h): term_rounding = max |n h - nh| <= 1e-12 and
+       span_residual = _span_residual(nh, n) == 0.  So dim ker H_l >= |W_l|.
+    2. Induction.  ker H_{m+1} = (ker H_m x C^n) cap ker(1 x h_{m,m+1}),
+       both terms being PSD (Nachtergaele, CMP 175, 565 (1996)).  If
+       ker H_m = span psi_m, each v in the first space is sum_j psi_m(B_j)
+       x e_j with unique B_j in span W_m, and psi_m(B)_{..i} =
+       psi_{m-1}(B gamma_i), so (1 x h) v = 0 exactly when X_ab =
+       sum_ij h[ab, ij] B_j gamma_i has no coefficient on W_{m-1}: dim
+       ker H_{m+1} is the nullity of that system S_m.  Its entries are
+       nh[ab, ij] = n(d_ai d_bj + d_aj d_bi) - 2 d_ab d_ij times the sign of
+       gamma_K gamma_i and, for odd n, the class factor: Gaussian
+       integers.  The base is ker H_1 = C^n = span psi_1.
+    3. Exactness.  Reduction mod PRIME, sqrt(-1) = 3^((PRIME-1)/4), is a
+       ring map from Z[i], so the nullity over Q(i) is at most the nullity
+       mod PRIME (Dumas, Giorgi, Pernet, ACM TOMS 35 (2008)).  When that
+       count is |W_{m+1}|, 1 closes the gap and the induction carries on.
+    4. Blocks.  Column (j, K) carries the charge K xor {j} and row
+       (a, b, L) the charge L xor {a} xor {b} (mod the full mask for odd
+       n), and h[ab, ij] != 0 only where {a} xor {b} = {i} xor {j}, so
+       S_m is a direct sum of blocks of at most n^2 x n (_charge_block).
+       A signed axis permutation O e_i = s_i e_sigma(i) commutes with h,
+       and gamma_i -> s_i gamma_sigma(i) is an automorphism of C_n, fixing
+       gamma_top for odd n once det O = 1 (compose an odd sigma with -1).
+       Together they permute rows and columns of S_m with signs and send
+       block Q to block sigma(Q), and permutations are transitive on each
+       grade: nullity S_m = sum_g C(n, g) nullity(block of the first g
+       axes), g = 0..n, or g < n/2 for odd n (_kernel_counts).
+    5. Every length.  W_m depends only on m mod 2 once m >= n - 1, so
+       S_m = S_{m-2} once m >= n + 2: the counts at the lengths
+       2..max_length = n + 2 decide every l >= 2.
+
+    The row passes when term_rounding <= 1e-12, span_residual == 0, the
+    count is |W_l| at every length 2..max_length, and kernel_dim ==
+    mps_dim == 2^(n-1) at l (past max_length, kernel_dim is the count at
+    the length of the same parity).  blocks counts the blocks eliminated.
+    No d^l-row array, 2^n x 2^n array or singular value is on the path.
+    """
+    if l < 2:
+        raise ValueError(f"chain length {l} shorter than the term support 2")
     expected = 2 ** (n - 1)
-    h = so_n_aklt(n)
-    span_residual = _span_residual(h, n)
+    scaled = n * so_n_aklt(n)
+    nh = np.rint(scaled)
+    term_rounding = float(np.max(np.abs(scaled - nh)))
+    span_residual = _span_residual(nh, n)
+    max_length = n + 2
+    live = [span_dim(MpsFamily(n, _ground_domain(n, k)), k) for k in range(2, max_length + 1)]
+    counts = _kernel_counts(nh, n)
+    at = l if l <= max_length else max_length - (l - max_length) % 2
+    kernel_dim = counts[at - 2]
     mps_dim = span_dim(MpsFamily(n, _ground_domain(n, l)), l)
-    g = _grow_kernel(h, l, n, tol)
-    kernel_dim = g.ranks[-1]
-    passed = (kernel_dim == mps_dim == expected and span_residual <= 1e-12
-              and g.isometry_error <= 1e-12)
+    passed = (term_rounding <= 1e-12 and span_residual == 0 and counts == live
+              and kernel_dim == mps_dim == expected)
     numbers = {
         "expected_dim": float(expected),
         "kernel_dim": float(kernel_dim),
         "mps_dim": float(mps_dim),
         "span_residual": span_residual,
-        "residual_bound": g.kept_sum,
-        "isometry_error": g.isometry_error,
-        "kept_max": g.kept_max,
-        "cutoff": g.tol,
-        "dropped_min": g.dropped_min,
+        "term_rounding": term_rounding,
+        "prime": float(PRIME),
+        "blocks": float(len(counts) * len(_charge_grades(n))),
+        "max_length": float(max_length),
     }
     return VerificationReport(f"parent_check(n={n}, l={l})", passed, numbers)
 

@@ -452,8 +452,7 @@ def _check_spin1_kernel_dim(ctx, n, l):
 
 
 def _check_parent_kernel(ctx, n, l):
-    config = ctx.config
-    return _report_row(parent_check(n, l, cap=config.cap_sparse, tol=config.tol_kernel))
+    return _report_row(parent_check(n, l))
 
 
 def _check_frustration_free(ctx, n, l):

@@ -441,51 +441,82 @@ def _recorded_svd_shapes(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("n, l", [(5, 7), (6, 6)])
-def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l):
-    # each step factors the charge blocks of the (r_k n^2) x (r_{k+1} n)
-    # bracket of the bond-space lemma, stacked by shape: every block is at
-    # most n^2 x n, and the blocks of a step hold every bracket column once
-    ranks = [1, n] + [chain_kernel(so_n_aklt(n), k, n).dim for k in range(2, l)]
-    shapes = _recorded_svd_shapes(monkeypatch)
-    assert chain_kernel(so_n_aklt(n), l, n).dim == 2 ** (n - 1)
-    assert all(len(shape) == 3 for shape in shapes)
-    assert max(rows for _, rows, _ in shapes) == n**2
-    assert max(cols for _, _, cols in shapes) == n
-    assert sum(count * cols for count, _, cols in shapes) == n * sum(ranks[1:l])
-
-
 def test_uncharged_term_factors_the_whole_bracket(monkeypatch):
-    # the spin-1 term mixes |+1,-1> with |0,0>, so it conserves no Z2^3
-    # charge: each step is one block, the whole (r_k 9) x (r_{k+1} 3) bracket
-    h, l = aklt_su2(), 6
-    assert not hamiltonians._site_charges(h, 3, 2).any()
-    ranks = [1, 3] + [chain_kernel(h, k, 3).dim for k in range(2, l)]
+    # each step factors its whole (r_k d^s) x (r_m d) bracket in one SVD and
+    # no d^(m+1)-row chain matrix: for the SO(n) terms, for the spin-1 term,
+    # which mixes |+1,-1> with |0,0> and so conserves no colour parity, and
+    # for the three-site dimer term
+    chains = [(so_n_aklt(5), 7, 5, 16), (so_n_aklt(6), 6, 6, 32),
+              (aklt_su2(), 6, 3, 4), (majumdar_ghosh(), 7, 2, 4)]
+    ranks = [hamiltonians._grow_kernel(h, l, d).ranks for h, l, d, _ in chains]
     shapes = _recorded_svd_shapes(monkeypatch)
-    assert chain_kernel(h, l, 3).dim == 4
-    assert shapes == [(1, ranks[k] * 9, ranks[k + 1] * 3) for k in range(l - 1)]
+    for (h, l, d, dim), r in zip(chains, ranks):
+        s = round(np.log(h.shape[0]) / np.log(d))
+        shapes.clear()
+        assert chain_kernel(h, l, d).dim == dim
+        assert shapes == [(r[m + 1 - s] * d**s, r[m] * d) for m in range(s - 1, l)]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_charge_blocks_match_the_one_block_growth(monkeypatch, n):
-    # the unblocked step is the oracle: equal ranks at every length, and
-    # the same margin to 1e-12
-    h = so_n_aklt(n)
-    blocked = hamiltonians._grow_kernel(h, n, n)
-    monkeypatch.setattr(hamiltonians, "_site_charges",
-                        lambda h, d, support: np.zeros(d, dtype=np.int64))
-    whole = hamiltonians._grow_kernel(h, n, n)
-    assert blocked.ranks == whole.ranks
-    assert abs(blocked.dropped_min - whole.dropped_min) <= 1e-12 * whole.dropped_min
-    assert max(blocked.kept_max, whole.kept_max) < 1e-13
-
-
-@pytest.mark.parametrize("n", range(3, 9))
 def test_parent_margin_is_the_closed_form(n):
     g = hamiltonians._grow_kernel(so_n_aklt(n), n, n)
     assert g.ranks[-1] == 2 ** (n - 1)
     assert g.dropped_min == pytest.approx(np.sqrt(2 * n / (n - 1)), rel=1e-12)
-    assert g.kept_sum < 1e-13 and g.isometry_error < 1e-13
+    assert g.kept_max < 1e-13
+
+
+def _exact_counts(n):
+    return hamiltonians._kernel_counts(np.rint(n * so_n_aklt(n)), n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_exact_counts_are_the_grown_ranks(n):
+    # the float growth is the independent oracle at every length the
+    # certificate checks; for odd n the counts cannot tell c from -c
+    # (gamma_i -> -gamma_i exchanges the two sectors), so the comparison
+    # with the growth, not a count alone, checks the quotient
+    g = hamiltonians._grow_kernel(so_n_aklt(n), n + 2, n)
+    assert _exact_counts(n) == g.ranks[2:]
+
+
+def _all_charge_nullities(n, m):
+    """Oracle: the nullity mod PRIME of every charge block of S_m, keyed by charge."""
+    nh = np.rint(n * so_n_aklt(n))
+    charges = [Q for Q in range(1 << n) if Q.bit_count() in hamiltonians._charge_grades(n)]
+    return {Q: hamiltonians._nullity_mod_prime(hamiltonians._charge_block(nh, n, m, Q))
+            for Q in charges}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_one_block_per_grade_is_the_all_charge_count(n):
+    # the orbit lemma: every block of a grade has the nullity of the block
+    # of the first g axes, so the weighted sum over grades is the sum over
+    # every charge
+    counts = []
+    for m in range(1, n + 2):
+        nullities = _all_charge_nullities(n, m)
+        for Q, nullity in nullities.items():
+            assert nullity == nullities[(1 << Q.bit_count()) - 1]
+        counts.append(sum(nullities.values()))
+    assert _exact_counts(n) == counts
+
+
+def test_exact_counts_pin_the_live_dimensions():
+    # |W_l| at l = 2..n+2: below the injectivity length too, then 2^(n-1)
+    assert _exact_counts(6) == [16, 26, 31, 32, 32, 32, 32]
+    assert _exact_counts(8) == [29, 64, 99, 120, 127, 128, 128, 128, 128]
+
+
+def test_nullity_mod_prime_is_the_rank_deficit():
+    rng = np.random.default_rng(4)
+    for rows, cols, rank in ((6, 4, 2), (16, 5, 5), (3, 7, 3), (9, 9, 0)):
+        A = rng.integers(-9, 10, (rows, rank)) @ rng.integers(-9, 10, (rank, cols))
+        assert np.linalg.matrix_rank(A) == rank
+        assert hamiltonians._nullity_mod_prime(A) == cols - rank
+    # a multiple of the prime is zero mod it
+    assert hamiltonians._nullity_mod_prime(np.array([[hamiltonians.PRIME]])) == 1
+    r = hamiltonians._SQRT_MINUS_ONE
+    assert r * r % hamiltonians.PRIME == hamiltonians.PRIME - 1
 
 
 def test_chain_kernel_reaches_past_the_dense_oracle():
@@ -505,39 +536,41 @@ def test_chain_kernel_validation():
 
 
 def test_parent_check_grid():
-    # the row is a dimension count; the dense oracles compare the spans
+    # the row is an exact count; the dense oracles compare the spans
     for n, l in ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)):
         rep = parent_check(n, l)
         assert rep.passed, rep.summary()
         assert rep.numbers["kernel_dim"] == 2 ** (n - 1)
         assert rep.numbers["mps_dim"] == 2 ** (n - 1)
-        assert rep.numbers["span_residual"] <= 1e-12
-        assert rep.numbers["residual_bound"] < 1e-13
+        assert rep.numbers["span_residual"] == 0
+        assert rep.numbers["max_length"] == n + 2
         K = chain_kernel(so_n_aklt(n), l, n)
         assert np.max(K.residuals) < 1e-13
         assert projector_distance(K.vectors, mps_ground_space(n, l)) < 1e-8
 
 
 def test_parent_check_forms_no_chain_sized_array(monkeypatch):
-    # every d^l-row route is patched to raise, and the traced peak stays
-    # below one float column of the chain: 8 * 7^7 bytes = 6.6 MB
+    # every d^l-row route and the float growth are patched to raise, and the
+    # traced peak stays below one float column of the chain: 8 * 7^7 bytes
+    # = 6.6 MB
     def refuse(*args, **kwargs):
         raise AssertionError("dense route on the parent_check path")
 
-    for name in ("chain_kernel", "mps_ground_space", "projector_distance", "basis_states",
-                 "chain_entries", "kernel_basis"):
+    for name in ("chain_kernel", "_grow_kernel", "mps_ground_space", "projector_distance",
+                 "basis_states", "chain_entries", "kernel_basis"):
         monkeypatch.setattr(hamiltonians, name, refuse)
     tracemalloc.start()
     try:
-        rep = parent_check(7, 7, cap=7**7)
+        rep = parent_check(7, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.passed, rep.summary()
     assert peak < 8 * 7**7
-    rep = parent_check(8, 8, cap=8**8)
-    assert rep.passed, rep.summary()
-    assert rep.numbers["kernel_dim"] == rep.numbers["mps_dim"] == 128
+    for l in (16, 40):
+        rep = parent_check(16, l)
+        assert rep.passed, rep.summary()
+        assert rep.numbers["kernel_dim"] == rep.numbers["mps_dim"] == 2**15
 
 
 def _antisymmetric_bump(n, eps):
@@ -562,13 +595,30 @@ def test_span_residual_is_the_two_site_state_residual(n):
 
 
 def test_span_residual_fails_a_term_off_the_identity(monkeypatch):
-    # the twisted term's antisymmetric pairs sit at its minimum, not in its kernel
+    # the twisted term's antisymmetric pairs sit at its minimum, not in its
+    # kernel; a bump below 1/n survives rint(n h) and fails the row through
+    # term_rounding, n * 1e-6 / 2
     assert hamiltonians._span_residual(TWISTED, 3) > 0.1
     bumped = so_n_aklt(4) + _antisymmetric_bump(4, 1e-6)
     monkeypatch.setattr(hamiltonians, "so_n_aklt", lambda n: bumped)
     rep = parent_check(4, 4)
     assert not rep.passed
-    assert rep.numbers["span_residual"] == pytest.approx(1e-6, rel=1e-6)
+    assert rep.numbers["term_rounding"] == pytest.approx(2e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("coefficient", [1, 3])
+def test_a_term_off_by_an_integer_coefficient_fails_the_row(monkeypatch, n, coefficient):
+    # 1 + SWAP - c Q with c != 2 is integer after scaling by n, so only the
+    # exact span identity and the counts can fail it, and both do: past
+    # l = n the count is 0
+    term = np.eye(n * n) + swap_matrix(n) - coefficient * q_matrix(n)
+    monkeypatch.setattr(hamiltonians, "so_n_aklt", lambda n: term)
+    rep = parent_check(n, 40)
+    assert not rep.passed
+    assert rep.numbers["term_rounding"] <= 1e-12
+    assert rep.numbers["span_residual"] > 0.1
+    assert rep.numbers["kernel_dim"] == 0
 
 
 def test_mps_states_are_chain_ground_states():

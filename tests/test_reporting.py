@@ -219,15 +219,22 @@ def _row(report, name, n, l):
     return rows[0]
 
 
-def test_tol_kernel_reaches_the_parent_check():
-    # the cut-off applies to each site step: 0.7 times the norm bound 8/3 of
-    # the n = 3 term is 1.87, above the smallest dropped singular value 1.73,
-    # so the kernel comes out too large
+def test_tol_kernel_reaches_the_rows_with_a_cutoff():
+    # the cut-off applies to each site step, relative to the norm bound of
+    # the term: 0.7 * 8/3 = 1.87 for the n = 3 term, above its smallest
+    # dropped singular value 1.73, and 0.7 * 4/3 = 0.93 for the spin-1
+    # term, above its 0.87, so both kernels come out too large; the exact
+    # parent-kernel row has no cut-off to loosen
     loose = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(4,), tol_kernel=0.7))
-    assert _row(loose, "parent-kernel", 3, 4)["status"] == "fail"
-    assert _row(loose, "parent-kernel", 3, 4)["numbers"]["kernel_dim"] > 4
+    free = _row(loose, "frustration-free", 3, 4)
+    assert free["status"] == "fail" and free["numbers"]["intersection_dim"] > 4
+    assert free["numbers"]["cutoff"] == pytest.approx(0.7 * 8 / 3)
+    spin1 = _row(loose, "spin1-kernel-dim", 3, None)
+    assert spin1["status"] == "fail" and spin1["numbers"]["kernel_dim"] > 4
+    assert spin1["numbers"]["cutoff"] == pytest.approx(0.7 * 4 / 3)
+    assert _row(loose, "parent-kernel", 3, 4)["status"] == "pass"
     default = run_campaign(CampaignConfig("parent", n_list=(3,), l_list=(4,)))
-    assert _row(default, "parent-kernel", 3, 4)["status"] == "pass"
+    assert {r["status"] for r in default["checks"]} == {"pass"}
 
 
 def test_kernel_rows_report_the_cutoff_between_their_margins():
@@ -241,9 +248,9 @@ def test_kernel_rows_report_the_cutoff_between_their_margins():
                 assert kept <= numbers[prefix + "cutoff"] < dropped
                 pairs += 1
     names = {r["name"] for r in report["checks"] if "cutoff" in r["numbers"]}
-    assert names == {"dimer-kernel-dims", "spin1-kernel-dim", "parent-kernel", "frustration-free"}
+    assert names == {"dimer-kernel-dims", "spin1-kernel-dim", "frustration-free"}
     assert pairs > len(names)
-    assert _row(report, "parent-kernel", 3, 4)["numbers"]["cutoff"] == pytest.approx(1e-10 * 8 / 3)
+    assert _row(report, "frustration-free", 3, 4)["numbers"]["cutoff"] == pytest.approx(1e-10 * 8 / 3)
 
 
 def test_kernel_dimension_rows_match_the_assembled_kernels():
@@ -274,8 +281,7 @@ def test_cap_sparse_is_the_parent_cap():
 
 
 def test_cap_sparse_above_the_default_widens_the_grid(monkeypatch):
-    def fake_parent_check(n, l, cap, tol):
-        assert n**l <= cap
+    def fake_parent_check(n, l):
         return VerificationReport(f"parent_check(n={n}, l={l})", True, {"dim": float(n**l)})
 
     monkeypatch.setattr(reporting, "parent_check", fake_parent_check)
