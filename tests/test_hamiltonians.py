@@ -441,13 +441,9 @@ def _recorded_svd_shapes(monkeypatch):
     return shapes
 
 
-def test_uncharged_term_factors_the_whole_bracket(monkeypatch):
+def _assert_whole_brackets(monkeypatch, chains):
     # each step factors its whole (r_k d^s) x (r_m d) bracket in one SVD and
-    # no d^(m+1)-row chain matrix: for the SO(n) terms, for the spin-1 term,
-    # which mixes |+1,-1> with |0,0> and so conserves no colour parity, and
-    # for the three-site dimer term
-    chains = [(so_n_aklt(5), 7, 5, 16), (so_n_aklt(6), 6, 6, 32),
-              (aklt_su2(), 6, 3, 4), (majumdar_ghosh(), 7, 2, 4)]
+    # no d^(m+1)-row chain matrix
     ranks = [hamiltonians._grow_kernel(h, l, d).ranks for h, l, d, _ in chains]
     shapes = _recorded_svd_shapes(monkeypatch)
     for (h, l, d, dim), r in zip(chains, ranks):
@@ -455,6 +451,19 @@ def test_uncharged_term_factors_the_whole_bracket(monkeypatch):
         shapes.clear()
         assert chain_kernel(h, l, d).dim == dim
         assert shapes == [(r[m + 1 - s] * d**s, r[m] * d) for m in range(s - 1, l)]
+
+
+@pytest.mark.parametrize("n, l", [(5, 7), (6, 6)])
+def test_chain_kernel_factors_only_bond_sized_matrices(monkeypatch, n, l):
+    # every bracket is at most (r_k n^2) x (r_{k+1} n), far below the n^l rows
+    # of the chain matrix
+    _assert_whole_brackets(monkeypatch, [(so_n_aklt(n), l, n, 2 ** (n - 1))])
+
+
+def test_uncharged_term_factors_the_whole_bracket(monkeypatch):
+    # the spin-1 term mixes |+1,-1> with |0,0> and so conserves no colour
+    # parity; the three-site dimer term spans three sites
+    _assert_whole_brackets(monkeypatch, [(aklt_su2(), 6, 3, 4), (majumdar_ghosh(), 7, 2, 4)])
 
 
 @pytest.mark.parametrize("n", range(3, 8))
